@@ -2,15 +2,10 @@
 // of one actor hop), routing decisions, and end-to-end pipeline hops
 // through the engine — the overheads operator fusion exists to remove.
 //
-// --mailbox=mutex|ring selects the inbox engine every benchmark runs on
-// (default ring); --mailbox=both skips Google Benchmark entirely and runs
-// the dedicated A/B comparison: the pooled engine's pipeline-hop benchmark
-// once per mailbox kind, printing per-hop nanoseconds for each and a
-// machine-parseable throughput delta line (the CI perf-smoke job greps
-// "ring vs mutex:" and fails the build if the ratio drops below 1.0).
-// --profile=both is the analogous A/B for the online profiler: the same
-// workload with the estimator off vs on-and-disarmed, gating the disarmed
-// overhead ("profile on vs off:" must stay >= 0.98x).
+// --profile=both skips Google Benchmark entirely and runs the A/B of the
+// online profiler: the pooled engine's pipeline-hop workload with the
+// estimator off vs on-and-disarmed, printing a machine-parseable line
+// ("profile on vs off: X.XXx") that the CI profiler gate checks.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -30,16 +25,11 @@ namespace {
 
 using namespace std::chrono_literals;
 using ss::runtime::Mailbox;
-using ss::runtime::MailboxKind;
 using ss::runtime::Message;
-using ss::runtime::OverflowPolicy;
 using ss::runtime::Tuple;
 
-/// Inbox engine under test, set once by --mailbox before any benchmark runs.
-MailboxKind g_mailbox = MailboxKind::kRing;
-
 void BM_MailboxSendReceive(benchmark::State& state) {
-  Mailbox box(64, OverflowPolicy::kBlockAfterService, g_mailbox);
+  Mailbox box(64);
   const Message m = Message::data(Tuple{}, 0, 1);
   Message out;
   for (auto _ : state) {
@@ -51,8 +41,8 @@ BENCHMARK(BM_MailboxSendReceive);
 
 void BM_MailboxPingPongThreads(benchmark::State& state) {
   // Producer thread + benchmark thread: the cross-thread hop cost.
-  Mailbox request(64, OverflowPolicy::kBlockAfterService, g_mailbox);
-  Mailbox response(64, OverflowPolicy::kBlockAfterService, g_mailbox);
+  Mailbox request(64);
+  Mailbox response(64);
   std::thread echo([&] {
     Message m;
     while (request.receive(m)) {
@@ -73,7 +63,7 @@ BENCHMARK(BM_MailboxPingPongThreads);
 
 void BM_MailboxTrySend(benchmark::State& state) {
   // The pooled scheduler's fast path: no blocking machinery touched.
-  Mailbox box(64, OverflowPolicy::kBlockAfterService, g_mailbox);
+  Mailbox box(64);
   const Message m = Message::data(Tuple{}, 0, 1);
   Message out;
   for (auto _ : state) {
@@ -86,7 +76,7 @@ BENCHMARK(BM_MailboxTrySend);
 void BM_MailboxTrySendBatch(benchmark::State& state) {
   // The output-staging hand-off: one credit reservation moves a whole
   // MessageBatch worth of messages.
-  Mailbox box(64, OverflowPolicy::kBlockAfterService, g_mailbox);
+  Mailbox box(64);
   Message msgs[ss::runtime::MessageBatch::kCapacity];
   for (auto& m : msgs) m = Message::data(Tuple{}, 0, 1);
   Message out;
@@ -129,9 +119,8 @@ BENCHMARK(BM_ReplicaSelectorByKey);
 /// One run of the pipeline-hop workload: a `stages`-hop chain of
 /// pass-through synthetic operators with near-zero service time pushes
 /// `items` tuples end to end.  Returns the wall-clock seconds of the run.
-double run_pipeline_hops(ss::runtime::SchedulerKind scheduler, MailboxKind mailbox,
-                         int stages, std::int64_t items, int workers,
-                         bool profile = false) {
+double run_pipeline_hops(ss::runtime::SchedulerKind scheduler, int stages,
+                         std::int64_t items, int workers, bool profile = false) {
   ss::Topology::Builder b;
   b.add_operator("src", 1e-6);
   for (int i = 0; i < stages; ++i) {
@@ -141,7 +130,6 @@ double run_pipeline_hops(ss::runtime::SchedulerKind scheduler, MailboxKind mailb
   const ss::Topology t = b.build();
   ss::runtime::EngineConfig config;
   config.scheduler = scheduler;
-  config.mailbox = mailbox;
   config.workers = workers;
   config.profile = profile;
   // Fold fast so the estimator reaches confidence and disarms within the
@@ -153,14 +141,6 @@ double run_pipeline_hops(ss::runtime::SchedulerKind scheduler, MailboxKind mailb
   ss::runtime::Engine engine(t, ss::runtime::Deployment{},
                              ss::runtime::synthetic_factory(0.0, items), config);
   const auto stats = engine.run_until_complete(std::chrono::duration<double>(60.0));
-  if (std::getenv("AB_DEBUG") != nullptr) {
-    const auto c = engine.scheduler_counters();
-    std::printf("  [dbg] pushes=%llu pops=%llu steals=%llu parks=%llu wakes=%llu batches=%llu bmsgs=%llu maxb=%llu ringe=%llu spills=%llu\n",
-      (unsigned long long)c.pushes,(unsigned long long)c.local_pops,(unsigned long long)c.steals,
-      (unsigned long long)c.parks,(unsigned long long)c.wakeups,(unsigned long long)c.batches,
-      (unsigned long long)c.batch_messages,(unsigned long long)c.max_batch,
-      (unsigned long long)c.ring_enqueues,(unsigned long long)c.ring_spills);
-  }
   return stats.total_seconds;
 }
 
@@ -172,7 +152,7 @@ void engine_pipeline_hops(benchmark::State& state, ss::runtime::SchedulerKind sc
   const auto stages = static_cast<int>(state.range(0));
   constexpr std::int64_t kItems = 20000;
   for (auto _ : state) {
-    const double seconds = run_pipeline_hops(scheduler, g_mailbox, stages, kItems, 0);
+    const double seconds = run_pipeline_hops(scheduler, stages, kItems, 0);
     state.counters["tuples/s"] =
         benchmark::Counter(static_cast<double>(kItems) / seconds);
     state.counters["hop_ns"] = benchmark::Counter(
@@ -190,79 +170,27 @@ void BM_EnginePipelineHopsPooled(benchmark::State& state) {
 }
 BENCHMARK(BM_EnginePipelineHopsPooled)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
-/// The --mailbox=both comparison: the pooled pipeline-hop workload run as
-/// `kReps` mutex/ring pairs (median of per-pair ratios, so a stray scheduler
-/// hiccup cannot fake a regression), then the delta line CI parses.
-int run_mailbox_ab() {
-  // AB_STAGES / AB_WORKERS / AB_ITEMS env overrides support local
-  // experimentation (cost decomposition); CI runs the defaults.
-  const char* stages_env = std::getenv("AB_STAGES");
-  const int kStages = stages_env != nullptr ? std::atoi(stages_env) : 4;
-  const char* workers_env = std::getenv("AB_WORKERS");
-  const int kWorkers = workers_env != nullptr ? std::atoi(workers_env) : 4;
-  // Long enough that one run is ~0.1 s: 20k-item runs are dominated by
-  // scheduler noise on small/oversubscribed hosts and the ratio swings
-  // +-25% run to run; 60k with best-of-5 keeps the gate stable.
-  constexpr std::int64_t kDefaultItems = 60000;
-  const char* items_env = std::getenv("AB_ITEMS");
-  const std::int64_t kItems = items_env != nullptr ? std::atoll(items_env) : kDefaultItems;
-  constexpr int kReps = 5;
-  // Paired reps: one mutex run immediately followed by one ring run, the
-  // reported ratio is the *median* of the per-pair ratios.  Host-load
-  // drift (noisy neighbors, frequency scaling) hits both halves of a pair
-  // alike and cancels; an unpaired best-of lets a slow phase land on one
-  // engine only and fake a regression either way.
-  const auto one = [&](MailboxKind kind) {
-    return run_pipeline_hops(ss::runtime::SchedulerKind::kPooled, kind, kStages,
-                             kItems, kWorkers);
-  };
-  double mutex_best = 1e300;
-  double ring_best = 1e300;
-  std::vector<double> ratios;
-  for (int r = 0; r < kReps; ++r) {
-    const double m = one(MailboxKind::kMutex);
-    const double g = one(MailboxKind::kRing);
-    mutex_best = std::min(mutex_best, m);
-    ring_best = std::min(ring_best, g);
-    ratios.push_back(m / g);
-  }
-  std::sort(ratios.begin(), ratios.end());
-  const double ratio = ratios[ratios.size() / 2];
-  const double hops = static_cast<double>(kItems) * kStages;
-  const double mutex_hop_ns = mutex_best * 1e9 / hops;
-  const double ring_hop_ns = ring_best * 1e9 / hops;
-  std::printf(
-      "mailbox A/B: pool engine, %d workers, %d-stage pipeline, %lld items, "
-      "median of %d pairs\n",
-      kWorkers, kStages, static_cast<long long>(kItems), kReps);
-  std::printf("  mutex: %8.1f ns/hop  %12.0f tuples/s\n", mutex_hop_ns,
-              static_cast<double>(kItems) / mutex_best);
-  std::printf("  ring:  %8.1f ns/hop  %12.0f tuples/s\n", ring_hop_ns,
-              static_cast<double>(kItems) / ring_best);
-  std::printf("ring vs mutex: %.2fx throughput (per-hop %.1f ns -> %.1f ns)\n",
-              ratio, mutex_hop_ns, ring_hop_ns);
-  return 0;
-}
-
 /// The --profile=both comparison: the pooled pipeline-hop workload run
 /// `kReps` times per side, best-of each.  "On" runs with a 20 ms fold
 /// period so the estimator disarms almost immediately — the line CI parses
 /// ("profile on vs off:") is therefore the *disarmed* overhead of the
 /// online profiler, gated at <= 2%.
 int run_profile_ab() {
+  // AB_STAGES / AB_WORKERS / AB_ITEMS env overrides support local
+  // experimentation; CI runs the defaults.
   const char* stages_env = std::getenv("AB_STAGES");
   const int kStages = stages_env != nullptr ? std::atoi(stages_env) : 4;
   const char* workers_env = std::getenv("AB_WORKERS");
   const int kWorkers = workers_env != nullptr ? std::atoi(workers_env) : 4;
-  // Longer runs and more reps than the mailbox A/B: a 2% overhead gate
-  // needs the noise floor pushed below the +-5% that 60k-item runs show.
+  // Long runs and 7 reps: a 2% overhead gate needs the noise floor pushed
+  // below the +-5% that 60k-item runs show.
   constexpr std::int64_t kDefaultItems = 150000;
   const char* items_env = std::getenv("AB_ITEMS");
   const std::int64_t kItems = items_env != nullptr ? std::atoll(items_env) : kDefaultItems;
   constexpr int kReps = 7;
   const auto one = [&](bool profile) {
-    return run_pipeline_hops(ss::runtime::SchedulerKind::kPooled, g_mailbox,
-                             kStages, kItems, kWorkers, profile);
+    return run_pipeline_hops(ss::runtime::SchedulerKind::kPooled, kStages, kItems,
+                             kWorkers, profile);
   };
   double off_best = 1e300;
   double on_best = 1e300;
@@ -270,16 +198,16 @@ int run_profile_ab() {
     off_best = std::min(off_best, one(false));
     on_best = std::min(on_best, one(true));
   }
-  // Best-of rather than the mailbox A/B's per-pair median: a 2% gate sits
-  // below this workload's per-run scheduler noise (+-8% pair to pair), and
-  // best-of-N suppresses one-sided hiccups that pairing cannot cancel.
+  // Best-of rather than a per-pair median: a 2% gate sits below this
+  // workload's per-run scheduler noise (+-8% pair to pair), and best-of-N
+  // suppresses one-sided hiccups that pairing cannot cancel.
   const double ratio = off_best / on_best;
   const double hops = static_cast<double>(kItems) * kStages;
   const double off_hop_ns = off_best * 1e9 / hops;
   const double on_hop_ns = on_best * 1e9 / hops;
   std::printf(
       "profiler A/B: pool engine, %d workers, %d-stage pipeline, %lld items, "
-      "median of %d pairs\n",
+      "best of %d runs each\n",
       kWorkers, kStages, static_cast<long long>(kItems), kReps);
   std::printf("  profile off: %8.1f ns/hop  %12.0f tuples/s\n", off_hop_ns,
               static_cast<double>(kItems) / off_best);
@@ -295,26 +223,14 @@ int run_profile_ab() {
 
 int main(int argc, char** argv) {
   std::vector<char*> args;
-  bool both = false;
   bool profile_ab = false;
   for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--mailbox=", 0) == 0) {
-      const std::string value = arg.substr(10);
-      if (value == "both") {
-        both = true;
-      } else {
-        g_mailbox = ss::runtime::mailbox_kind_from_string(value);  // throws on junk
-      }
-      continue;
-    }
-    if (arg == "--profile=both") {
+    if (std::string(argv[i]) == "--profile=both") {
       profile_ab = true;
       continue;
     }
     args.push_back(argv[i]);
   }
-  if (both) return run_mailbox_ab();
   if (profile_ab) return run_profile_ab();
   int count = static_cast<int>(args.size());
   benchmark::Initialize(&count, args.data());

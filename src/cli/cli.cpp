@@ -58,7 +58,7 @@ commands:
                                      discrete-event simulation vs the model
                                      (tables print predicted next to measured)
   run <file> [--seconds=S] [--optimize] [--engine=threads|pool] [--workers=K]
-             [--batch=N] [--mailbox=mutex|ring] [--pin=none|cores|sockets]
+             [--batch=N] [--pin=none|cores|sockets]
              [--elastic] [--reconfig-period=S] [--reconfig-threshold=R]
              [--slo-p99=MS] [--objective=NAME] [--items=N]
              [--checkpoint-dir=D] [--checkpoint-period=S] [--recover]
@@ -66,10 +66,8 @@ commands:
              [--stats-port=N] [--profile=on|off]
                                      execute on the actor runtime (threads =
                                      one thread per actor, pool = K work-
-                                     stealing workers draining N msgs/claim);
-                                     --mailbox picks the inbox engine (ring =
-                                     lock-free MPSC fast path, the default;
-                                     mutex = the two-queue baseline), --pin
+                                     stealing workers; either way an actor
+                                     handles up to N msgs per slice); --pin
                                      maps pool workers onto CPUs (cores =
                                      round-robin, sockets = spread across
                                      packages; warns and continues unpinned
@@ -100,7 +98,7 @@ commands:
                                      estimation + backpressure attribution;
                                      on by default)
   run --app A.xml --app B.xml [--workers=K] [--batch=N] [--seconds=S]
-      [--mailbox=mutex|ring] [--pin=none|cores|sockets]
+      [--pin=none|cores|sockets]
       [--optimize] [--budget=N] [--weights=1,2,...] [--elastic]
       [--reconfig-period=S] [--reconfig-threshold=R] [--slo-p99=MS]
       [--objective=NAME] [--metrics-out=FILE] [--checkpoint-dir=D]
@@ -363,9 +361,8 @@ int cmd_execute(const Args& args, std::ostream& out, harness::ExecutionBackend b
                 !args.has("recover") && !args.has("items"),
             "--checkpoint-dir/--checkpoint-period/--recover/--items need a live "
             "runtime: use --engine=threads or --engine=pool");
-    require(!args.has("pin") && !args.has("mailbox"),
-            "--pin/--mailbox configure the live runtime: use --engine=threads or "
-            "--engine=pool");
+    require(!args.has("pin"),
+            "--pin configures the live runtime: use --engine=threads or --engine=pool");
     require(!args.has("stats-port") && !args.has("profile"),
             "--stats-port/--profile need a live runtime: use --engine=threads or "
             "--engine=pool");
@@ -426,16 +423,10 @@ int cmd_execute(const Args& args, std::ostream& out, harness::ExecutionBackend b
           "--workers must be a positive integer");
   require(!args.has("batch") || args.get_int("batch", 0) > 0,
           "--batch must be a positive integer");
+  config.pool_batch = static_cast<int>(args.get_int("batch", 0));
   if (backend == harness::ExecutionBackend::kPool) {
     config.scheduler = runtime::SchedulerKind::kPooled;
     config.workers = static_cast<int>(args.get_int("workers", 0));
-    config.pool_batch = static_cast<int>(args.get_int("batch", 0));
-  }
-  if (args.has("mailbox")) {
-    const std::string kind = args.get("mailbox");
-    require(kind == "mutex" || kind == "ring",
-            "unknown mailbox kind '" + kind + "' (expected 'mutex' or 'ring')");
-    config.mailbox = runtime::mailbox_kind_from_string(kind);
   }
   if (args.has("pin")) {
     // Pinning maps *pool workers* onto CPUs; the thread-per-actor engine
@@ -684,13 +675,6 @@ int cmd_run_multi(const Args& args, std::ostream& out) {
           "--recover requires --checkpoint-dir");
   runtime::PinMode pin = runtime::PinMode::kNone;
   if (args.has("pin")) pin = runtime::pin_mode_from_string(args.get("pin"));
-  runtime::MailboxKind mailbox = runtime::MailboxKind::kRing;
-  if (args.has("mailbox")) {
-    const std::string kind = args.get("mailbox");
-    require(kind == "mutex" || kind == "ring",
-            "unknown mailbox kind '" + kind + "' (expected 'mutex' or 'ring')");
-    mailbox = runtime::mailbox_kind_from_string(kind);
-  }
   runtime::TenantGroup group(static_cast<int>(args.get_int("workers", 0)),
                              static_cast<int>(args.get_int("batch", 0)), pin);
   for (std::size_t i = 0; i < paths.size(); ++i) {
@@ -701,7 +685,6 @@ int cmd_run_multi(const Args& args, std::ostream& out) {
     spec.factory = ops::make_logic_factory(topologies[i]);
     spec.weight = weights[i];
     spec.optimize = optimize[i];
-    spec.config.mailbox = mailbox;
     spec.config.profile = profile_on;
     spec.max_duration = std::chrono::duration<double>(seconds);
     if (!metrics_path.empty()) {

@@ -69,10 +69,10 @@ Measured measure(const Topology& t, const runtime::Deployment& deployment,
   runtime::EngineConfig config;
   config.mailbox_capacity = options.buffer_capacity;
   config.seed = options.seed;
+  config.pool_batch = options.pool_batch;
   if (options.engine == ExecutionBackend::kPool) {
     config.scheduler = runtime::SchedulerKind::kPooled;
     config.workers = options.workers;
-    config.pool_batch = options.pool_batch;
   }
   config.elastic = options.elastic;
   config.reconfig_period = options.reconfig_period;

@@ -49,8 +49,9 @@ struct MeasureOptions {
   /// Worker threads of the pooled backend; <= 0 means one per hardware
   /// thread.  Ignored by kSim/kThreads.
   int workers = 0;
-  /// Messages drained per pooled actor claim; <= 0 means the default
-  /// (Mailbox::drain batch of 64).  Ignored by kSim/kThreads.
+  /// Slice size of the live backends (messages an actor drains per slice,
+  /// items a source emits per slice); <= 0 means the default of 64.
+  /// Ignored by kSim.
   int pool_batch = 0;
   /// Elastic re-deployment (kThreads/kPool only): run a ReconfigController
   /// that re-runs Algorithms 1-3 on measured rates every `reconfig_period`

@@ -10,6 +10,7 @@
 // monotonic clock.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <thread>
@@ -72,11 +73,13 @@ inline Clock::time_point metering_now() {
 #endif
 }
 
-/// Waits for `seconds` with microsecond-level accuracy.
-inline void precise_wait(double seconds) {
-  if (seconds <= 0.0) return;
-  const auto deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                           std::chrono::duration<double>(seconds));
+/// `seconds` as a steady_clock duration.
+inline Clock::duration to_clock_duration(double seconds) {
+  return std::chrono::duration_cast<Clock::duration>(std::chrono::duration<double>(seconds));
+}
+
+/// Waits until `deadline` with microsecond-level accuracy.
+inline void precise_wait_until(Clock::time_point deadline) {
   // Leave ~120us for the spin phase; below that the kernel timer slack
   // dominates and sleeping would overshoot.
   constexpr auto kSpinSlack = std::chrono::microseconds(120);
@@ -86,6 +89,12 @@ inline void precise_wait(double seconds) {
     // short spin; yield keeps single-core hosts responsive
     std::this_thread::yield();
   }
+}
+
+/// Waits for `seconds` with microsecond-level accuracy.
+inline void precise_wait(double seconds) {
+  if (seconds <= 0.0) return;
+  precise_wait_until(Clock::now() + to_clock_duration(seconds));
 }
 
 /// Timed wait with drift compensation.
@@ -114,6 +123,54 @@ class PacedWaiter {
 
  private:
   double debt_ = 0.0;
+};
+
+/// Paces a source: PacedWaiter's drift compensation, plus the time the
+/// caller spends between two waits.
+///
+/// What the caller does between two waits (emitting, staging, on the pool
+/// the claim and dispatch between two slices) counts against the next
+/// wait instead of stretching the period; PacedWaiter repays only its own
+/// overshoot, which left pool sources several percent below their declared
+/// rate.  Two kinds of time between waits are not made up, so a late
+/// source never bursts to catch up:
+/// - time blocked on send (`blocked_ns`): as in the model, a BAS source
+///   server loses its blocked time, so a backpressured source still waits
+///   a full period per item — the service time the profiler reads;
+/// - of a pause longer than one period (a fence, preemption), everything
+///   beyond that one period: the next item leaves at once, the rest is lost.
+class SchedulePacer {
+ public:
+  /// `blocked_ns` is the caller's running total of time blocked on send
+  /// (scope_blocked_ns(); it restarts at 0 with each actor slice).
+  void wait(double period, std::uint64_t blocked_ns) {
+    if (period <= 0.0) return;
+    const auto now = Clock::now();
+    // A total below the last one means a new slice began, and no send of
+    // it can have blocked yet.
+    const std::uint64_t blocked = blocked_ns >= blocked_seen_ ? blocked_ns - blocked_seen_ : 0;
+    blocked_seen_ = blocked_ns;
+    if (started_) {
+      const double gap = seconds_between(returned_, now) - static_cast<double>(blocked) * 1e-9;
+      debt_ += std::clamp(gap, 0.0, period);
+    }
+    started_ = true;
+    const double effective = period - debt_;
+    if (effective <= 0.0) {
+      debt_ -= period;  // still repaying: this item leaves at once
+      returned_ = now;
+      return;
+    }
+    precise_wait_until(now + to_clock_duration(effective));
+    returned_ = Clock::now();
+    debt_ = seconds_between(now, returned_) - effective;
+  }
+
+ private:
+  Clock::time_point returned_{};
+  double debt_ = 0.0;
+  std::uint64_t blocked_seen_ = 0;
+  bool started_ = false;
 };
 
 }  // namespace ss::runtime

@@ -84,8 +84,8 @@ thread_local BatchMeterSlice tls_batch_slice;
 
 }  // namespace
 
-/// Per-thread output stage: while an actor slice runs (pooled drain,
-/// source pump, or a dedicated-thread burst), consecutive data results
+/// Per-thread output stage: while an actor slice runs (run_slice, on a
+/// pooled worker or the actor's own thread), consecutive data results
 /// bound for the same destination coalesce into one cache-line-aligned
 /// MessageBatch and reach the target mailbox as a unit
 /// (Mailbox::try_send_batch) instead of one try_send per message.
@@ -97,6 +97,13 @@ struct OutputStage {
   Engine* owner = nullptr;
   int target = -1;  ///< destination actor of the staged batch
   bool armed = false;
+  /// Deliver the batch when the thread parks (flush_staged_output), so an
+  /// operator's results never wait out the service time of the messages
+  /// behind them.  Off for sources: a paced source keeps batching between
+  /// its pace waits (pump_source flushes per item while latency is
+  /// measured), and the profiler reads sub-saturation service times from
+  /// the backlog bursts those batches leave downstream.
+  bool flush_on_park = false;
   MessageBatch batch;
 };
 thread_local OutputStage tls_output_stage;
@@ -116,9 +123,8 @@ AppFactory synthetic_factory(double time_scale, std::int64_t max_items) {
 // ---------------------------------------------------------------- ActorState
 
 struct Engine::ActorState {
-  ActorState(ActorSpec s, std::size_t mailbox_capacity, OverflowPolicy policy,
-             MailboxKind kind, Rng r)
-      : spec(std::move(s)), mailbox(mailbox_capacity, policy, kind), rng(r) {}
+  ActorState(ActorSpec s, std::size_t mailbox_capacity, OverflowPolicy policy, Rng r)
+      : spec(std::move(s)), mailbox(mailbox_capacity, policy), rng(r) {}
 
   struct PendingItem {
     OpIndex member;
@@ -144,6 +150,7 @@ struct Engine::ActorState {
   std::int64_t expected_seq = 0;           // collector: next seq to release
   std::map<std::int64_t, std::vector<Message>> held;  // collector: buffered results
   std::set<std::int64_t> completed;        // collector: seq marks received
+  int shutdowns = 0;  ///< shutdown tokens seen this epoch (the actor's slice only)
   // --- epoch fence (reconfigure)
   int fence_seen = 0;     ///< fence tokens received this barrier (actor thread only)
   bool fence_counted = false;  ///< counted toward fence_passed_ (fence_mutex_)
@@ -375,6 +382,7 @@ std::unique_ptr<Engine::EpochState> Engine::build_epoch(Deployment deployment,
       if (spec.kind == ActorKind::kReplica) state->collector_actor = spec.downstream.front();
       state->mailbox.set_on_ready(nullptr);  // the new scheduler re-hooks
       state->mailbox.set_owner_op(spec.op);  // blocked-edge attribution
+      state->shutdowns = 0;
       state->fence_seen = 0;
       state->fence_counted = false;
       state->finished = false;
@@ -383,7 +391,7 @@ std::unique_ptr<Engine::EpochState> Engine::build_epoch(Deployment deployment,
       continue;
     }
     auto state = std::make_unique<ActorState>(spec, config_.mailbox_capacity, config_.overflow,
-                                              config_.mailbox, master_rng_.split());
+                                              master_rng_.split());
     state->mailbox.set_owner_op(spec.op);  // blocked-edge attribution
     init_actor_logic(*state, spec, epoch->deployment);
     epoch->actors.push_back(std::move(state));
@@ -473,38 +481,33 @@ bool Engine::is_source(std::size_t id) const {
   return actor(id).spec.kind == ActorKind::kSource;
 }
 
-int Engine::incoming_channels(std::size_t id) const {
-  return actor(id).spec.incoming_channels;
-}
-
 Mailbox& Engine::mailbox(std::size_t id) { return actor(id).mailbox; }
 
-bool Engine::actor_retired(std::size_t id) const {
-  return actor(id).retired.load(std::memory_order_acquire);
-}
-
 bool Engine::send_to_actor(int actor_id, const Message& m) {
-  const auto timeout =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(config_.send_timeout);
-  return epoch_->scheduler->deliver(static_cast<std::size_t>(actor_id), m, timeout);
+  Mailbox& box = actor(static_cast<std::size_t>(actor_id)).mailbox;
+  if (box.try_send(m)) return true;
+  // Slow path: closed, or full.  Under shedding the drop was already
+  // counted by try_send; under BAS block honestly.  The BlockingSection
+  // first delivers what this thread has staged and, on the pool, lends the
+  // core onward so the destination keeps draining (backpressure without
+  // pool deadlock).
+  if (box.closed() || box.policy() == OverflowPolicy::kShedNewest) return false;
+  BlockingSection blocking;
+  return box.send(m, std::chrono::duration_cast<std::chrono::nanoseconds>(config_.send_timeout));
 }
 
 // ------------------------------------------------------------ output staging
 
-void Engine::begin_output_batch(std::size_t /*id*/) {
-  // Staging exists to feed the ring's batched slot reservation; under
-  // --mailbox=mutex the engine runs the original per-message delivery so
-  // the A/B in bench/micro_runtime compares the whole hot path against the
-  // true baseline, not a hybrid.
-  if (config_.mailbox != MailboxKind::kRing) return;
+void Engine::begin_output_batch(bool flush_on_park) {
   OutputStage& stage = tls_output_stage;
   stage.owner = this;
+  stage.flush_on_park = flush_on_park;
   stage.target = -1;
   stage.armed = true;
   stage.batch.clear();
 }
 
-void Engine::flush_output_batch(std::size_t /*id*/) {
+void Engine::flush_output_batch() {
   flush_stage();
   OutputStage& stage = tls_output_stage;
   stage.armed = false;
@@ -526,23 +529,34 @@ bool Engine::stage_message(int actor_id, const Message& m, bool count_emit) {
 void Engine::flush_stage() {
   OutputStage& stage = tls_output_stage;
   if (stage.owner != this || stage.batch.empty()) return;
+  // Take the batch off the stage before delivering: a blocking delivery
+  // opens a BlockingSection, which flushes this same stage and must find
+  // it empty, or the batch would be sent twice.  Nothing stages while the
+  // deliveries below run, so the items stay intact in place.
   MessageBatch& b = stage.batch;
+  const std::uint32_t count = b.count;
+  const std::uint32_t emit_mask = b.emit_mask;
   const int target = stage.target;
+  b.clear();
+  stage.target = -1;
   Mailbox& box = actor(static_cast<std::size_t>(target)).mailbox;
-  const std::size_t accepted = box.try_send_batch(b.items, b.count);
+  const std::size_t accepted = box.try_send_batch(b.items, count);
   for (std::size_t i = 0; i < accepted; ++i) {
-    if ((b.emit_mask & (1u << i)) != 0) board_.add_emitted(b.items[i].from);
+    if ((emit_mask & (1u << i)) != 0) board_.add_emitted(b.items[i].from);
   }
   // Remainder: the destination is full (or closed).  Fall back to the
   // scheduler's per-message delivery, which applies the usual BAS / shed
   // semantics and charges blocked time exactly like an unstaged send.
-  for (std::size_t i = accepted; i < b.count; ++i) {
-    if (send_to_actor(target, b.items[i]) && (b.emit_mask & (1u << i)) != 0) {
+  for (std::size_t i = accepted; i < count; ++i) {
+    if (send_to_actor(target, b.items[i]) && (emit_mask & (1u << i)) != 0) {
       board_.add_emitted(b.items[i].from);
     }
   }
-  b.clear();
-  stage.target = -1;
+}
+
+void flush_staged_output() noexcept {
+  const OutputStage& stage = tls_output_stage;
+  if (stage.owner != nullptr && stage.flush_on_park) stage.owner->flush_stage();
 }
 
 bool Engine::route_result(OpIndex op, OpIndex target, const Tuple& tuple, Rng& rng) {
@@ -622,10 +636,6 @@ void Engine::run_meta(std::size_t id, OpIndex member, const Tuple& tuple, OpInde
 }
 
 void Engine::finish_actor(std::size_t id) {
-  // The epilogue below and the shutdown tokens at the end must not overtake
-  // data this thread still has staged (pooled slots flush via their guard
-  // before complete(); this covers the dedicated-thread loops).
-  flush_stage();
   ActorState& st = actor(id);
   switch (st.spec.kind) {
     case ActorKind::kWorker: {
@@ -887,7 +897,7 @@ void Engine::process_message(std::size_t id, Message& msg) {
   }
 }
 
-// Batch-granularity metering (pooled scheduler).  A drained batch is timed
+// Batch-granularity metering (run_slice).  A drained batch is timed
 // as ONE busy slice charged to the actor's operator: two clock reads per
 // batch instead of two per message, which is what keeps armed-window
 // metering overhead flat on sub-microsecond operators.  The slice covers
@@ -912,7 +922,7 @@ bool Engine::begin_batch_meter(std::size_t id) {
   return true;
 }
 
-void Engine::end_batch_meter(std::size_t /*id*/) {
+void Engine::end_batch_meter() {
   BatchMeterSlice& slice = tls_batch_slice;
   const auto elapsed = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(metering_now() - slice.from)
@@ -930,154 +940,133 @@ void Engine::end_batch_meter(std::size_t /*id*/) {
   slice.ctx.reset();
 }
 
-void Engine::actor_loop(std::size_t id) {
-  // Messages are consumed in bounded bursts: one blocking receive, then
-  // non-blocking try_receive drains whatever arrived meanwhile.  FIFO order
-  // and semantics are identical to a plain receive loop; the burst exists
-  // so armed-window metering can time it as ONE busy slice (two clock
-  // reads per burst, as on the pooled drain path) — the blocking receive
-  // stays outside the slice, so idle wait never counts as busy.
-  static constexpr int kLoopBurst = 64;
+// ------------------------------------------------------------ the actor slice
+
+SliceOutcome Engine::run_slice(std::size_t id, std::size_t max) {
   ActorState& st = actor(id);
-  int shutdowns = 0;
-  Message msg;
-  bool running = true;
-  while (running && st.mailbox.receive(msg)) {
-    struct SliceGuard {
-      Engine* engine;
-      std::size_t id;
-      bool armed;
-      ~SliceGuard() {
-        if (armed) engine->end_batch_meter(id);
-      }
-    } slice{this, id, begin_batch_meter(id)};
-    // Stage outputs for the burst.  Declared after `slice` so the flush
-    // (destructor order) lands inside the busy slice, and runs before the
-    // next blocking receive so staged results never outwait an idle
-    // mailbox.  Covers the mid-burst `return` on fence retirement too.
-    struct StageGuard {
-      Engine* engine;
-      std::size_t id;
-      ~StageGuard() { engine->flush_output_batch(id); }
-    } stage{this, id};
-    begin_output_batch(id);
-    for (int n = 0;;) {
+  SliceOutcome outcome;
+  // Output staging: the slice's consecutive same-destination emissions
+  // coalesce into a MessageBatch handed over with one try_send_batch.
+  // Staged messages MUST flush before the slice returns — the finish/fence
+  // epilogues send tokens that may not overtake data, and the moment a
+  // `done` slice returns the scheduler may complete the actor and the
+  // engine may be destroyed.  close() covers the exit paths; the destructor
+  // covers exceptions.
+  struct OutputStageGuard {
+    Engine* engine;
+    bool armed;
+    void close() {
+      if (armed) engine->flush_output_batch();
+      armed = false;
+    }
+    ~OutputStageGuard() { close(); }
+  };
+  // The finish epilogue runs after the stage closed: its results and
+  // tokens go out directly, in order.
+  const auto finish = [&] {
+    try {
+      finish_actor(id);  // flush logic, propagate shutdown tokens
+    } catch (const std::exception& e) {
+      report_failure(id, e.what());
+    }
+    outcome.done = true;
+  };
+
+  if (st.spec.kind == ActorKind::kSource) {
+    trace::Span span("pump", "actor");
+    span.set_arg("actor", static_cast<std::int64_t>(id));
+    bool more = false;
+    OutputStageGuard stage{this, true};
+    begin_output_batch(/*flush_on_park=*/false);
+    try {
+      more = pump_source(id, max);
+    } catch (const std::exception& e) {
+      stage.close();
+      report_failure(id, e.what());
+      outcome.done = true;
+      return outcome;
+    }
+    stage.close();
+    if (st.retired.load(std::memory_order_acquire)) {
+      outcome.done = true;  // epoch fence: no finish epilogue
+    } else if (!more) {
+      finish();
+    }
+    return outcome;
+  }
+
+  // One pass over the ring hands the whole batch over (Mailbox::drain), but
+  // each message's capacity slot is released only as it enters service —
+  // freeing the whole batch up front would give senders capacity
+  // B + batch and visibly weaken the BAS backpressure the cost models
+  // assume.  Tokens and data stay in FIFO order inside the batch.
+  thread_local std::vector<Message> batch;
+  batch.clear();
+  trace::Span span("batch", "actor");
+  Mailbox& box = st.mailbox;
+  const std::size_t taken = box.drain(batch, max, /*release_now=*/false);
+  span.set_arg("n", static_cast<std::int64_t>(taken));
+  outcome.messages = taken;
+  // Time the whole batch as one busy slice (per-message metering inside
+  // process_message is suppressed while the slice is open); the guard
+  // closes the slice on every exit path, before the slice returns.
+  struct BatchMeterGuard {
+    Engine* engine;
+    bool armed;
+    void close() {
+      if (armed) engine->end_batch_meter();
+      armed = false;
+    }
+    ~BatchMeterGuard() { close(); }
+  } meter{this, taken > 0 && begin_batch_meter(id)};
+  // Staging, declared after `meter` so the destructor (normal exit,
+  // exceptions) flushes first, then closes the slice — dispatch time lands
+  // in the busy slice.
+  OutputStageGuard stage{this, taken > 0};
+  if (stage.armed) begin_output_batch(/*flush_on_park=*/true);
+  std::size_t released = 0;
+  try {
+    for (Message& msg : batch) {
+      box.release(1);
+      ++released;
       if (msg.kind == Message::Kind::kShutdown) {
-        if (++shutdowns >= st.spec.incoming_channels) {
-          running = false;
-          break;
+        // FIFO per channel puts each upstream's token after its data, so
+        // once all tokens arrived no data can be pending behind them —
+        // a completed actor cannot strand messages later in the batch.
+        if (++st.shutdowns >= st.spec.incoming_channels) {
+          if (taken > released) box.release(taken - released);
+          stage.close();
+          meter.close();
+          finish();
+          return outcome;
         }
-      } else {
-        process_message(id, msg);
-        // Retired at a fence: exit WITHOUT the finish epilogue — logic
-        // state and mailbox carry into the next epoch.
-        if (st.retired.load(std::memory_order_relaxed)) return;
+        continue;
       }
-      if (++n >= kLoopBurst || !st.mailbox.try_receive(msg)) break;
+      process_message(id, msg);
+      if (st.retired.load(std::memory_order_acquire)) {
+        // The message was the actor's final fence token: it forwarded the
+        // fence and retired WITHOUT the finish epilogue — logic state and
+        // mailbox carry into the next epoch.  FIFO per channel puts every
+        // upstream's data before its token, so nothing can be pending later
+        // in the batch.
+        if (taken > released) box.release(taken - released);
+        stage.close();
+        meter.close();
+        outcome.done = true;
+        return outcome;
+      }
     }
+  } catch (const std::exception& e) {
+    if (taken > released) box.release(taken - released);
+    stage.close();
+    meter.close();
+    report_failure(id, e.what());
+    outcome.done = true;
   }
-  finish_actor(id);
+  return outcome;
 }
 
-void Engine::source_loop(std::size_t id) {
-  ActorState& st = actor(id);
-  const OpIndex op = st.spec.op;
-  RouteCollector out(*this, op, st.rng);
-  // Context pinned for the whole loop: generation time is busy, the
-  // downstream emit charges blocked when backpressured (the gate is
-  // re-checked per charge, so this is free while metering is off).
-  ScopedActorContext ctx(telemetry_, op);
-  Tuple tuple;
-  while (true) {
-    if (stop_.load(std::memory_order_relaxed)) {
-      // A stop raised between a fence and its resume (e.g. a snapshot
-      // write failure aborting the run) leaves already-generated items in
-      // the fence buffer; deliver them before finishing — a bad disk must
-      // never lose an in-flight tuple.
-      std::unique_lock lock(fence_mutex_);
-      if (fence_buffer_.empty()) break;
-      tuple = fence_buffer_.front();
-      fence_buffer_.pop_front();
-      lock.unlock();
-      board_.add_processed(op);
-      out.emit(tuple);
-      continue;
-    }
-    if (fence_active_.load(std::memory_order_acquire)) {
-      source_fence(id);
-      if (st.retired.load(std::memory_order_relaxed)) return;
-      continue;
-    }
-    if (telemetry_.enabled()) {
-      // Batch-granularity metering, as in pump_source: a bounded run of
-      // items is ONE busy slice (generation + emit dispatch, blocked-on-
-      // send subtracted through the nested context) — two clock reads per
-      // slice instead of two per item.  Stop and fence flags are
-      // re-checked per item, so slices never delay a fence.
-      ScopedActorContext slice(telemetry_, op);
-      const Clock::time_point from = metering_now();
-      bool ended = false;
-      begin_output_batch(id);
-      for (int n = 0; n < 64; ++n) {
-        if (stop_.load(std::memory_order_relaxed) ||
-            fence_active_.load(std::memory_order_acquire)) {
-          break;
-        }
-        if (!next_source_item(st, tuple)) {
-          ended = true;
-          break;
-        }
-        board_.add_processed(op);
-        out.emit(tuple);
-        // A paced source holding a half-filled batch would charge every
-        // staged item the pace gaps of its successors — visible directly
-        // in the percentiles.  While latency is being measured, hand each
-        // item over as it is produced; batching a rate-limited source
-        // buys nothing anyway (the win is back-to-back emission).
-        if (board_.latency_enabled()) flush_stage();
-      }
-      flush_output_batch(id);  // inside the slice: dispatch time is busy
-      const auto elapsed = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(metering_now() - from)
-              .count());
-      const std::uint64_t blocked = slice.blocked_ns();
-      telemetry_.add_busy(op, elapsed > blocked ? elapsed - blocked : 0);
-      if (ended) break;
-    } else {
-      // Same bounded burst without the metering: emissions stage into
-      // MessageBatch hand-offs, and the stop/fence flags are re-checked
-      // per item so staging never delays a fence.
-      bool ended = false;
-      begin_output_batch(id);
-      for (int n = 0; n < 64; ++n) {
-        if (stop_.load(std::memory_order_relaxed) ||
-            fence_active_.load(std::memory_order_acquire)) {
-          break;
-        }
-        if (!next_source_item(st, tuple)) {
-          ended = true;
-          break;
-        }
-        board_.add_processed(op);
-        out.emit(tuple);
-        if (board_.latency_enabled()) flush_stage();  // see the metered twin
-      }
-      flush_output_batch(id);
-      if (ended) break;
-    }
-  }
-  finish_actor(id);
-}
-
-void Engine::run_actor(std::size_t id) {
-  if (is_source(id)) {
-    source_loop(id);
-  } else {
-    actor_loop(id);
-  }
-}
-
-bool Engine::pump_source(std::size_t id, int quantum) {
+bool Engine::pump_source(std::size_t id, std::size_t quantum) {
   ActorState& st = actor(id);
   const OpIndex op = st.spec.op;
   RouteCollector out(*this, op, st.rng);
@@ -1097,10 +1086,12 @@ bool Engine::pump_source(std::size_t id, int quantum) {
     telemetry_.add_busy(op, elapsed > blocked ? elapsed - blocked : 0);
   };
   Tuple tuple;
-  for (int i = 0; i < quantum; ++i) {
+  for (std::size_t i = 0; i < quantum; ++i) {
     if (stop_.load(std::memory_order_relaxed)) {
-      // Same contract as source_loop: a stop must not strand items the
-      // source already generated into the fence buffer.
+      // A stop raised between a fence and its resume (e.g. a snapshot
+      // write failure aborting the run) leaves already-generated items in
+      // the fence buffer; deliver them before finishing — a bad disk must
+      // never lose an in-flight tuple.
       while (true) {
         std::unique_lock lock(fence_mutex_);
         if (fence_buffer_.empty()) break;
@@ -1116,7 +1107,7 @@ bool Engine::pump_source(std::size_t id, int quantum) {
     if (fence_active_.load(std::memory_order_acquire)) {
       record();
       source_fence(id);
-      return true;  // retired: the scheduler completes us without epilogue
+      return true;  // retired: the slice ends without the finish epilogue
     }
     if (!next_source_item(st, tuple)) {
       record();
@@ -1124,9 +1115,11 @@ bool Engine::pump_source(std::size_t id, int quantum) {
     }
     board_.add_processed(op);
     out.emit(tuple);
-    // Paced sources hand items over as produced while latency percentiles
-    // are live — a half-filled staged batch would charge every staged item
-    // its successors' pace gaps (see source_loop).
+    // A paced source holding a half-filled batch would charge every staged
+    // item the pace gaps of its successors — visible directly in the
+    // percentiles.  While latency is being measured, hand each item over
+    // as it is produced; batching a rate-limited source buys nothing anyway
+    // (the win is back-to-back emission).
     if (board_.latency_enabled()) flush_stage();
   }
   record();
@@ -1134,7 +1127,6 @@ bool Engine::pump_source(std::size_t id, int quantum) {
 }
 
 void Engine::report_failure(std::size_t id, const std::string& what) {
-  flush_stage();  // deliver what the failed slice already routed
   {
     std::lock_guard lock(failure_mutex_);
     if (first_failure_.empty()) {
@@ -1356,6 +1348,7 @@ bool Engine::checkpoint_now() {
     // fence latches reset; the sources replay the fence buffer first.
     for (const auto& st : epoch_->actors) {
       st->mailbox.set_on_ready(nullptr);  // the new scheduler re-hooks
+      st->shutdowns = 0;
       st->fence_seen = 0;
       st->fence_counted = false;
       st->retired.store(false, std::memory_order_relaxed);

@@ -1,9 +1,10 @@
 // The actor core: builds the actor graph of a deployment, dispatches
 // messages to operator logic, measures steady-state rates, and drains the
-// topology deterministically on stop.  *How* actors get CPU time is
-// delegated to a Scheduler (scheduler.hpp): one dedicated thread per actor
-// (the configuration the paper evaluates in §5.1, the default) or a shared
-// worker pool multiplexing N actors onto K workers.
+// topology deterministically on stop.  An actor runs in slices
+// (run_slice); *where* slices run is delegated to a Scheduler
+// (scheduler.hpp): one dedicated thread per actor (the configuration the
+// paper evaluates in §5.1, the default) or a shared worker pool
+// multiplexing N actors onto K workers.
 //
 // A running actor graph is an *epoch*: the instantiation of one Deployment
 // (actors, mailboxes, routing targets, scheduler).  reconfigure() switches
@@ -62,10 +63,6 @@ struct EngineConfig {
   /// Full-mailbox behaviour: backpressure (default, what the cost models
   /// assume) or load shedding (drop-newest; an alternative §2 discusses).
   OverflowPolicy overflow = OverflowPolicy::kBlockAfterService;
-  /// Queue engine behind every mailbox: the lock-free MPSC ring fast path
-  /// (default) or the mutex-guarded two-queue baseline (--mailbox=mutex,
-  /// kept for A/B comparison).  Semantics are identical either way.
-  MailboxKind mailbox = MailboxKind::kRing;
   /// Worker-to-CPU pinning of the pooled scheduler (--pin).  Ignored under
   /// kThreadPerActor; best-effort (warns and continues unpinned when CPU
   /// affinity is unavailable).
@@ -81,9 +78,9 @@ struct EngineConfig {
   /// Worker threads of the pooled scheduler; <= 0 means one per hardware
   /// thread.  Ignored under kThreadPerActor.
   int workers = 0;
-  /// Messages a pooled worker drains per actor claim — the whole batch
-  /// costs one mailbox lock acquisition (Mailbox::drain).  <= 0 means the
-  /// default of 64.  Ignored under kThreadPerActor.
+  /// Slice size on both backends: the messages one actor slice drains (a
+  /// pooled worker's claim, or a dedicated thread's wake-up) and the items
+  /// one source slice emits.  <= 0 means kDefaultSliceSize (64).
   int pool_batch = 0;
   /// Elastic re-deployment: run a ReconfigController that samples measured
   /// rates every `reconfig_period` seconds, re-runs Algorithms 1-3 on them
@@ -264,23 +261,38 @@ class Engine final : public EngineCore {
     std::unique_ptr<Scheduler> scheduler;
   };
 
+  friend void flush_staged_output() noexcept;
+
   // --- EngineCore: the surface the scheduler drives
   std::size_t num_actors() const override { return epoch_->actors.size(); }
   bool is_source(std::size_t id) const override;
-  int incoming_channels(std::size_t id) const override;
   Mailbox& mailbox(std::size_t id) override;
-  void run_actor(std::size_t id) override;
-  bool pump_source(std::size_t id, int quantum) override;
-  void process_message(std::size_t id, Message& m) override;
-  void begin_output_batch(std::size_t id) override;
-  void flush_output_batch(std::size_t id) override;
-  bool begin_batch_meter(std::size_t id) override;
-  void end_batch_meter(std::size_t id) override;
-  void finish_actor(std::size_t id) override;
-  void report_failure(std::size_t id, const std::string& what) override;
-  bool actor_retired(std::size_t id) const override;
+  SliceOutcome run_slice(std::size_t id, std::size_t max) override;
   void actor_done(std::size_t id) override;
-  bool stop_requested() const override { return stop_.load(std::memory_order_relaxed); }
+
+  // --- the pieces of a slice
+  /// Emits up to `quantum` source items; returns false when the source
+  /// ended (or the run was stopped) and the finish epilogue is due.
+  bool pump_source(std::size_t id, std::size_t quantum);
+  /// Dispatches one dequeued data/seq-mark/fence message to the actor's
+  /// logic.
+  void process_message(std::size_t id, Message& m);
+  /// Arms the calling thread's output stage for this engine; flush (below)
+  /// delivers what it holds and disarms it.  `flush_on_park`: a
+  /// BlockingSection entered meanwhile delivers the stage first.
+  void begin_output_batch(bool flush_on_park);
+  void flush_output_batch();
+  /// Batch-granularity busy metering: the whole slice is ONE busy slice.
+  /// begin returns false — and end must then be skipped — when nothing was
+  /// opened (metering off, or busy time charged per member or not at all).
+  bool begin_batch_meter(std::size_t id);
+  void end_batch_meter();
+  /// Flushes logic state and propagates end-of-stream tokens downstream.
+  void finish_actor(std::size_t id);
+  /// Records the first failure, stops the run and unblocks neighbours so
+  /// the drain completes; the run rethrows it after join.  Called with the
+  /// slice's output stage already flushed.
+  void report_failure(std::size_t id, const std::string& what);
 
   /// Instantiates `deployment` as a new epoch.  `prev` (when non-null) is
   /// the quiesced previous epoch: actors of operators unchanged per `diff`
@@ -303,8 +315,6 @@ class Engine final : public EngineCore {
   /// Stops the controller (an in-flight switch-over completes first), then
   /// raises the stop flag under the epoch lock so no new switch-over starts.
   void stop_run();
-  void actor_loop(std::size_t id);
-  void source_loop(std::size_t id);
   /// Next item for the source actor: replays the fence buffer of the
   /// previous epoch first, then pulls from the SourceLogic.
   bool next_source_item(ActorState& st, Tuple& tuple);
@@ -347,6 +357,9 @@ class Engine final : public EngineCore {
   /// with checkpointing off or after a failure.
   void write_final_checkpoint();
   RunStats finalize_run();
+  /// Delivers a data message to an actor's mailbox: try_send fast path,
+  /// then (BAS) a blocking send inside a BlockingSection.  Returns false
+  /// when the item was dropped or the box closed.
   bool send_to_actor(int actor_id, const Message& m);
   /// Appends a data message to the calling thread's output stage when one
   /// is armed for this engine (consecutive same-destination messages leave
@@ -355,8 +368,9 @@ class Engine final : public EngineCore {
   /// no stage is armed — the caller delivers directly.
   bool stage_message(int actor_id, const Message& m, bool count_emit);
   /// Delivers the calling thread's staged batch (Mailbox::try_send_batch
-  /// fast path, per-message blocking deliver for the remainder).  Called
-  /// on every path that sends a control token so data never overtakes.
+  /// fast path, send_to_actor for the remainder).  Called on every path
+  /// that sends a control token so data never overtakes, and on entry to
+  /// every BlockingSection (flush_staged_output).
   void flush_stage();
   /// Routes a result of logical operator `op` (explicit `target` or
   /// probabilistic when kInvalidOp) and delivers it; returns true when the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <stdexcept>
 
 #include "runtime/clock.hpp"
 #include "runtime/telemetry.hpp"
@@ -17,7 +16,7 @@ std::size_t next_pow2(std::size_t v) {
   return p;
 }
 
-/// Parked receive()rs re-poll at this period so a publish racing the very
+/// Parked consumers (wait_ready) re-poll at this period so a publish racing the very
 /// first park can never strand a message behind a missed notify: the ring
 /// fast path deliberately avoids a full fence between "publish" and "is a
 /// consumer waiting?", and this bounds the cost of losing that race.
@@ -25,36 +24,23 @@ constexpr std::chrono::milliseconds kConsumerRepoll{10};
 
 }  // namespace
 
-MailboxKind mailbox_kind_from_string(const std::string& name) {
-  if (name == "mutex") return MailboxKind::kMutex;
-  if (name == "ring") return MailboxKind::kRing;
-  throw std::invalid_argument("unknown mailbox kind: " + name +
-                              " (expected mutex|ring)");
-}
-
-const char* to_string(MailboxKind kind) {
-  return kind == MailboxKind::kRing ? "ring" : "mutex";
-}
-
-Mailbox::Mailbox(std::size_t capacity, OverflowPolicy policy, MailboxKind kind)
-    : capacity_(capacity == 0 ? 1 : capacity), policy_(policy), kind_(kind) {
-  if (kind_ == MailboxKind::kRing) {
-    // Physical ring ≥ 2× the logical capacity: the slack absorbs
-    // capacity-exempt tokens (send_unbounded) so spills stay rare.
-    const std::size_t slots = next_pow2(std::max<std::size_t>(capacity_ * 2, 16));
-    cells_ = std::make_unique<Cell[]>(slots);
-    for (std::size_t i = 0; i < slots; ++i) {
-      cells_[i].seq.store(i, std::memory_order_relaxed);
-    }
-    ring_mask_ = slots - 1;
+Mailbox::Mailbox(std::size_t capacity, OverflowPolicy policy)
+    : capacity_(capacity == 0 ? 1 : capacity), policy_(policy) {
+  // Physical ring ≥ 2× the logical capacity: the slack absorbs
+  // capacity-exempt tokens (send_unbounded) so spills stay rare.
+  const std::size_t slots = next_pow2(std::max<std::size_t>(capacity_ * 2, 16));
+  cells_ = std::make_unique<Cell[]>(slots);
+  for (std::size_t i = 0; i < slots; ++i) {
+    cells_[i].seq.store(i, std::memory_order_relaxed);
   }
+  ring_mask_ = slots - 1;
 }
 
 // ---------------------------------------------------------------------------
-// Ring engine.  Producers claim a capacity credit (size_), then a physical
-// slot; the 0→1 transition of the credit counter is the empty→non-empty
-// edge.  The hook is *captured* under the lock (so set_on_ready can swap it
-// concurrently) but *fired* outside it — same contract as the mutex engine.
+// Producers claim a capacity credit (size_), then a physical slot; the 0→1
+// transition of the credit counter is the empty→non-empty edge.  The hook
+// is *captured* under the lock (so set_on_ready can swap it concurrently)
+// but *fired* outside it.
 
 bool Mailbox::acquire_credit(std::size_t& depth_out) {
   std::size_t cur = size_.load(std::memory_order_relaxed);
@@ -168,7 +154,7 @@ void Mailbox::after_publish(bool edge) {
   }
 }
 
-bool Mailbox::send_ring(const Message& m, std::chrono::nanoseconds timeout) {
+bool Mailbox::send(const Message& m, std::chrono::nanoseconds timeout) {
   bool deadline_set = false;
   Clock::time_point deadline{};
   for (;;) {
@@ -184,17 +170,18 @@ bool Mailbox::send_ring(const Message& m, std::chrono::nanoseconds timeout) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
-    // Backpressure slow path — the ring's park path.  This wait *is* the
+    // Backpressure slow path — the sender's park.  This wait *is* the
     // blocked-on-send time the cost models capture, so charge it to the
-    // sending operator's telemetry context.  Clock reads happen only when
-    // actually blocking.  A single deadline spans every park episode: a
+    // sending operator's telemetry context (a paced source also re-bases
+    // its schedule on it).  Clock reads happen only when actually
+    // blocking.  A single deadline spans every park episode: a
     // woken sender that loses the credit race to a lock-free try_send
     // re-parks with the remaining budget, never a fresh one.
     if (!deadline_set) {
       deadline = Clock::now() + timeout;
       deadline_set = true;
     }
-    const bool meter = blocked_metering_enabled();
+    const bool meter = has_actor_context();
     const auto blocked_from = meter ? metering_now() : Clock::time_point{};
     bool freed;
     {
@@ -221,170 +208,53 @@ bool Mailbox::send_ring(const Message& m, std::chrono::nanoseconds timeout) {
 }
 
 // ---------------------------------------------------------------------------
-// Mutex engine (the original two-queue design, kept for --mailbox=mutex).
-
-std::function<void()> Mailbox::push_locked(const Message& m) {
-  inbox_.push_back(m);
-  const std::size_t depth = size_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  bump_peak(depth);
-  return depth == 1 ? on_ready_ : std::function<void()>{};
-}
-
-bool Mailbox::send_mutex(const Message& m, std::chrono::nanoseconds timeout) {
-  std::function<void()> ready;
-  {
-    std::unique_lock lock(mutex_);
-    const bool was_closed = closed_.load(std::memory_order_relaxed);
-    if (policy_ == OverflowPolicy::kShedNewest) {
-      if (!was_closed && size_.load(std::memory_order_relaxed) >= capacity_) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);  // shed, no backpressure
-        return false;
-      }
-    } else if (size_.load(std::memory_order_relaxed) >= capacity_ && !was_closed) {
-      const bool meter = blocked_metering_enabled();
-      const auto blocked_from = meter ? metering_now() : Clock::time_point{};
-      waiting_senders_.fetch_add(1, std::memory_order_acq_rel);
-      const bool freed = not_full_.wait_for(lock, timeout, [&] {
-        return closed_.load(std::memory_order_relaxed) ||
-               size_.load(std::memory_order_acquire) < capacity_;
-      });
-      waiting_senders_.fetch_sub(1, std::memory_order_acq_rel);
-      if (meter) {
-        charge_blocked(static_cast<std::uint64_t>(
-                           std::chrono::duration_cast<std::chrono::nanoseconds>(
-                               metering_now() - blocked_from)
-                               .count()),
-                       owner_op_);
-      }
-      if (!freed) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);  // timed out (§5.1)
-        return false;
-      }
-    }
-    if (closed_.load(std::memory_order_relaxed)) return false;
-    ready = push_locked(m);
-  }
-  not_empty_.notify_one();
-  fire(ready);
-  return true;
-}
-
-bool Mailbox::consume(Message& out) {
-  if (outbox_.empty()) {
-    std::lock_guard lock(mutex_);
-    if (inbox_.empty()) return false;
-    outbox_.swap(inbox_);  // the whole backlog for one lock acquisition
-  }
-  out = outbox_.front();
-  outbox_.pop_front();
-  release_slots(1);
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Public API: thin dispatch over the two engines.
-
-bool Mailbox::send(const Message& m, std::chrono::nanoseconds timeout) {
-  return kind_ == MailboxKind::kRing ? send_ring(m, timeout)
-                                     : send_mutex(m, timeout);
-}
+// Non-blocking sends, the consumer side, close.
 
 bool Mailbox::try_send(const Message& m) {
-  if (kind_ == MailboxKind::kRing) {
-    if (closed_.load(std::memory_order_acquire)) return false;
-    std::size_t depth = 0;
-    if (!acquire_credit(depth)) {
-      if (policy_ == OverflowPolicy::kShedNewest) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);  // shed, like send()
-      }
-      return false;
+  if (closed_.load(std::memory_order_acquire)) return false;
+  std::size_t depth = 0;
+  if (!acquire_credit(depth)) {
+    if (policy_ == OverflowPolicy::kShedNewest) {
+      dropped_.fetch_add(1, std::memory_order_relaxed);  // shed, like send()
     }
-    bump_peak(depth);
-    ring_publish(m);
-    after_publish(depth == 1);
-    return true;
+    return false;
   }
-  std::function<void()> ready;
-  {
-    std::lock_guard lock(mutex_);
-    if (closed_.load(std::memory_order_relaxed)) return false;
-    if (size_.load(std::memory_order_relaxed) >= capacity_) {
-      if (policy_ == OverflowPolicy::kShedNewest) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return false;
-    }
-    ready = push_locked(m);
-  }
-  not_empty_.notify_one();
-  fire(ready);
+  bump_peak(depth);
+  ring_publish(m);
+  after_publish(depth == 1);
   return true;
 }
 
 std::size_t Mailbox::try_send_batch(const Message* msgs, std::size_t n) {
-  if (n == 0) return 0;
-  if (kind_ == MailboxKind::kRing) {
-    if (closed_.load(std::memory_order_acquire)) return 0;
-    // One CAS claims credits for the longest prefix that fits.
-    std::size_t cur = size_.load(std::memory_order_relaxed);
-    std::size_t k = 0;
-    do {
-      if (cur >= capacity_) return 0;
-      k = std::min(n, capacity_ - cur);
-    } while (!size_.compare_exchange_weak(cur, cur + k,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_relaxed));
-    bump_peak(cur + k);
-    std::size_t published = 0;
-    if (!spilled_.load(std::memory_order_acquire) &&
-        ring_enqueue_many(msgs, k)) {
-      published = k;
-    }
-    for (; published < k; ++published) ring_publish(msgs[published]);
-    after_publish(cur == 0);
-    return k;
+  if (n == 0 || closed_.load(std::memory_order_acquire)) return 0;
+  // One CAS claims credits for the longest prefix that fits.
+  std::size_t cur = size_.load(std::memory_order_relaxed);
+  std::size_t k = 0;
+  do {
+    if (cur >= capacity_) return 0;
+    k = std::min(n, capacity_ - cur);
+  } while (!size_.compare_exchange_weak(cur, cur + k,
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_relaxed));
+  bump_peak(cur + k);
+  std::size_t published = 0;
+  if (!spilled_.load(std::memory_order_acquire) && ring_enqueue_many(msgs, k)) {
+    published = k;
   }
-  std::function<void()> ready;
-  std::size_t accepted = 0;
-  {
-    std::lock_guard lock(mutex_);
-    if (closed_.load(std::memory_order_relaxed)) return 0;
-    while (accepted < n && size_.load(std::memory_order_relaxed) < capacity_) {
-      auto hook = push_locked(msgs[accepted]);
-      if (hook) ready = std::move(hook);
-      ++accepted;
-    }
-  }
-  if (accepted > 0) {
-    not_empty_.notify_one();
-    fire(ready);
-  }
-  return accepted;
+  for (; published < k; ++published) ring_publish(msgs[published]);
+  after_publish(cur == 0);
+  return k;
 }
 
 void Mailbox::send_unbounded(const Message& m) {
-  if (kind_ == MailboxKind::kRing) {
-    if (closed_.load(std::memory_order_acquire)) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);  // never drained again
-      return;
-    }
-    const std::size_t depth = size_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    bump_peak(depth);
-    ring_publish(m);
-    after_publish(depth == 1);
+  if (closed_.load(std::memory_order_acquire)) {
+    dropped_.fetch_add(1, std::memory_order_relaxed);  // never drained again
     return;
   }
-  std::function<void()> ready;
-  {
-    std::lock_guard lock(mutex_);
-    if (closed_.load(std::memory_order_relaxed)) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    ready = push_locked(m);
-  }
-  not_empty_.notify_one();
-  fire(ready);
+  const std::size_t depth = size_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  bump_peak(depth);
+  ring_publish(m);
+  after_publish(depth == 1);
 }
 
 void Mailbox::release_slots(std::size_t n) {
@@ -398,75 +268,44 @@ void Mailbox::release_slots(std::size_t n) {
   }
 }
 
-bool Mailbox::receive(Message& out) {
-  if (kind_ == MailboxKind::kRing) {
-    for (;;) {
-      if (ring_consume(out)) {
-        release_slots(1);
-        return true;
-      }
-      std::unique_lock lock(mutex_);
-      if (ring_ready() || spilled_.load(std::memory_order_relaxed)) continue;
-      if (closed_.load(std::memory_order_relaxed)) return false;
-      waiting_consumers_.fetch_add(1, std::memory_order_acq_rel);
-      // Bounded waits, not one indefinite one: combined with kConsumerRepoll
-      // this makes a publish that raced the registration self-healing.
-      not_empty_.wait_for(lock, kConsumerRepoll, [&] {
-        return closed_.load(std::memory_order_relaxed) || ring_ready() ||
-               spilled_.load(std::memory_order_relaxed);
-      });
-      waiting_consumers_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-  }
-  if (consume(out)) return true;
-  {
+bool Mailbox::wait_ready() {
+  for (;;) {
+    if (ring_ready() || spilled_.load(std::memory_order_acquire)) return true;
     std::unique_lock lock(mutex_);
-    not_empty_.wait(lock, [&] {
-      return closed_.load(std::memory_order_relaxed) || !inbox_.empty();
+    if (ring_ready() || spilled_.load(std::memory_order_relaxed)) return true;
+    if (closed_.load(std::memory_order_relaxed)) return false;
+    waiting_consumers_.fetch_add(1, std::memory_order_acq_rel);
+    // Bounded waits, not one indefinite one: combined with kConsumerRepoll
+    // this makes a publish that raced the registration self-healing.
+    not_empty_.wait_for(lock, kConsumerRepoll, [&] {
+      return closed_.load(std::memory_order_relaxed) || ring_ready() ||
+             spilled_.load(std::memory_order_relaxed);
     });
-    if (inbox_.empty()) return false;  // closed and drained
-    outbox_.swap(inbox_);
+    waiting_consumers_.fetch_sub(1, std::memory_order_acq_rel);
   }
-  out = outbox_.front();
-  outbox_.pop_front();
+}
+
+bool Mailbox::receive(Message& out) {
+  // A set spill flag can be stale (the queue drained under a racing
+  // producer); try_receive then clears it and the loop parks again.
+  while (wait_ready()) {
+    if (try_receive(out)) return true;
+  }
+  return false;
+}
+
+bool Mailbox::try_receive(Message& out) {
+  if (!ring_consume(out)) return false;
   release_slots(1);
   return true;
 }
 
-bool Mailbox::try_receive(Message& out) {
-  if (kind_ == MailboxKind::kRing) {
-    if (!ring_consume(out)) return false;
-    release_slots(1);
-    return true;
-  }
-  return consume(out);
-}
-
 std::size_t Mailbox::drain(std::vector<Message>& out, std::size_t max, bool release_now) {
   std::size_t taken = 0;
-  if (kind_ == MailboxKind::kRing) {
-    Message m;
-    while (taken < max && ring_consume(m)) {
-      out.push_back(m);
-      ++taken;
-    }
-    if (release_now && taken > 0) release_slots(taken);
-    return taken;
-  }
-  const auto take = [&] {
-    while (taken < max && !outbox_.empty()) {
-      out.push_back(outbox_.front());
-      outbox_.pop_front();
-      ++taken;
-    }
-  };
-  take();  // leftovers of an earlier swap first: FIFO across refills
-  if (taken < max) {
-    {
-      std::lock_guard lock(mutex_);
-      if (outbox_.empty() && !inbox_.empty()) outbox_.swap(inbox_);
-    }
-    take();
+  Message m;
+  while (taken < max && ring_consume(m)) {
+    out.push_back(m);
+    ++taken;
   }
   if (release_now && taken > 0) release_slots(taken);
   return taken;

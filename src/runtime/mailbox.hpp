@@ -7,34 +7,26 @@
 // which case the item is dropped (the paper sets the timeout high enough,
 // five seconds, that drops never happen in practice).
 //
-// Two interchangeable engines sit behind one API (MailboxKind):
+// The queue is a bounded lock-free MPSC ring in the style of Vyukov's
+// bounded queue.  Producers claim slots with a CAS on enqueue_pos_ and
+// publish through per-cell sequence numbers; the single consumer (the
+// actor's own thread, or the pool's actor claim, which serializes
+// consumers across workers and publishes the ring between them through
+// its acquire/release ordering) advances dequeue_pos_ without any atomic
+// RMW.  The logical capacity is decoupled from the physical ring: a
+// separate credit counter (size_) enforces the BAS bound, so deferred
+// release (drain(..., release_now=false) + release()) keeps capacity
+// exactly B.  Capacity-exempt sends
+// (send_unbounded: shutdown/fence tokens) that find the physical ring full
+// spill into a mutex-guarded side queue; once spilled, *all* later enqueues
+// follow it until the consumer has drained the spill, which preserves
+// per-producer FIFO — the property the engine's token counting relies on
+// ("every channel's tokens arrive after that channel's data").  Blocking
+// (BAS), kShedNewest, close and on_ready are the slow path: a full mailbox
+// parks the sender on a condition variable, and that park is where
+// blocked-on-send telemetry is charged.
 //
-//  - kRing (default): a bounded lock-free MPSC ring in the style of
-//    Vyukov's bounded queue.  Producers claim slots with a CAS on
-//    enqueue_pos_ and publish through per-cell sequence numbers; the single
-//    consumer (the pooled scheduler's actor claim serializes consumers
-//    across threads, and its acquire/release ordering publishes the ring
-//    between them) advances dequeue_pos_ without any atomic RMW.  The
-//    logical capacity is decoupled from the physical ring: a separate
-//    credit counter (size_) enforces the BAS bound, so deferred release
-//    (drain(..., release_now=false) + release()) keeps capacity exactly B.
-//    Capacity-exempt sends (send_unbounded: shutdown/fence tokens) that
-//    find the physical ring full spill into a mutex-guarded side queue;
-//    once spilled, *all* later enqueues follow it until the consumer has
-//    drained the spill, which preserves per-producer FIFO — the property
-//    the scheduler's token counting relies on ("every channel's tokens
-//    arrive after that channel's data").  Blocking (BAS), kShedNewest,
-//    close and on_ready keep their exact mutex-path semantics as the slow
-//    path: a full mailbox parks the sender on the old condition variable,
-//    and that park is where blocked-on-send telemetry is charged.
-//
-//  - kMutex: the original two-queue (producer inbox / consumer-private
-//    outbox) design, kept as the A/B baseline for `--mailbox=mutex`.
-//    Producers append under the lock; the consumer refills its outbox by
-//    swapping the whole inbox in one lock acquisition.
-//
-// Either way the mailbox stays MPSC: many producers, one consumer *at a
-// time*.
+// The mailbox is MPSC: many producers, one consumer *at a time*.
 #pragma once
 
 #include <atomic>
@@ -45,7 +37,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "runtime/message.hpp"
@@ -60,22 +51,10 @@ enum class OverflowPolicy : std::uint8_t {
   kShedNewest,
 };
 
-/// Which queue engine backs the mailbox: the lock-free MPSC ring fast path
-/// (default) or the original mutex-guarded two-queue baseline.
-enum class MailboxKind : std::uint8_t {
-  kMutex,
-  kRing,
-};
-
-/// Parses "mutex" / "ring"; throws std::invalid_argument otherwise.
-MailboxKind mailbox_kind_from_string(const std::string& name);
-const char* to_string(MailboxKind kind);
-
 class Mailbox {
  public:
   explicit Mailbox(std::size_t capacity,
-                   OverflowPolicy policy = OverflowPolicy::kBlockAfterService,
-                   MailboxKind kind = MailboxKind::kRing);
+                   OverflowPolicy policy = OverflowPolicy::kBlockAfterService);
 
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
@@ -94,9 +73,8 @@ class Mailbox {
 
   /// Non-blocking batched enqueue: accepts the longest prefix of
   /// `msgs[0..n)` that fits in free capacity right now and returns how many
-  /// were taken (0 when closed or full).  On the ring this is one credit
-  /// CAS plus one slot reservation for the whole prefix; on the mutex
-  /// engine it is one lock acquisition.  Never counts drops — the caller
+  /// were taken (0 when closed or full): one credit CAS plus one slot
+  /// reservation for the whole prefix.  Never counts drops — the caller
   /// falls back to send()/try_send() per remaining message, which applies
   /// the usual BAS/shed semantics.
   std::size_t try_send_batch(const Message* msgs, std::size_t n);
@@ -106,8 +84,14 @@ class Mailbox {
   /// counts the item as dropped instead of enqueueing it.
   void send_unbounded(const Message& m);
 
-  /// Dequeues into `out`, blocking while empty.  Returns false once the
-  /// mailbox is closed *and* drained.
+  /// Consumer-side park: blocks until a message is readable (returns true)
+  /// or the mailbox is closed with nothing left to read (returns false).
+  /// Takes nothing — a dedicated actor thread waits here, then drains a
+  /// slice with drain().
+  bool wait_ready();
+
+  /// Dequeues into `out`, blocking while empty (wait_ready + try_receive).
+  /// Returns false once the mailbox is closed *and* drained.
   bool receive(Message& out);
 
   /// Non-blocking variant; returns false when empty right now.
@@ -133,9 +117,9 @@ class Mailbox {
   void close();
 
   /// Installs a readiness hook fired (outside the lock) whenever an enqueue
-  /// turns the mailbox from empty to non-empty.  Pooled schedulers use it
-  /// to learn that the owning actor has work without parking a worker on
-  /// this mailbox's condition variable.  The installation is synchronized
+  /// turns the mailbox from empty to non-empty.  The pooled scheduler uses
+  /// it to learn that the owning actor has work without parking a worker
+  /// on this mailbox's condition variable.  The installation is synchronized
   /// with concurrent senders (the hook is read and written under the
   /// mailbox lock), so it may be swapped while producers are live; an
   /// enqueue concurrent with the swap fires either the old or the new
@@ -150,22 +134,21 @@ class Mailbox {
     return closed_.load(std::memory_order_acquire);
   }
   [[nodiscard]] OverflowPolicy policy() const { return policy_; }
-  [[nodiscard]] MailboxKind kind() const { return kind_; }
 
   /// Items dropped on send timeout since construction.
   [[nodiscard]] std::uint64_t dropped() const {
     return dropped_.load(std::memory_order_relaxed);
   }
 
-  /// Messages that took the lock-free ring fast path (0 on kMutex).  The
-  /// scheduler folds these into its counter report so the ready-hint
-  /// ledger can be read next to the enqueue volume that fed it.
+  /// Messages that took the lock-free ring fast path.  The scheduler folds
+  /// these into its counter report so the ready-hint ledger can be read
+  /// next to the enqueue volume that fed it.
   [[nodiscard]] std::uint64_t ring_enqueues() const {
     return ring_enqueues_.load(std::memory_order_relaxed);
   }
   /// Messages that overflowed the physical ring into the spill queue —
   /// capacity-exempt tokens beyond the ring's slack, or stragglers behind
-  /// them.  Always 0 on kMutex.
+  /// them.
   [[nodiscard]] std::uint64_t ring_spills() const {
     return ring_spills_.load(std::memory_order_relaxed);
   }
@@ -200,7 +183,6 @@ class Mailbox {
     Message msg{};
   };
 
-  // --- shared helpers -----------------------------------------------------
   void release_slots(std::size_t n);
   static void fire(std::function<void()>& hook) {
     if (hook) hook();
@@ -213,7 +195,6 @@ class Mailbox {
     }
   }
 
-  // --- ring engine --------------------------------------------------------
   /// Claims one credit of logical capacity; returns false when full.
   /// `depth_out` is the post-claim depth (1 == empty→non-empty edge).
   bool acquire_credit(std::size_t& depth_out);
@@ -232,28 +213,16 @@ class Mailbox {
   /// Post-publish notifications: wake a parked receive()r and fire the
   /// on_ready hook when this publish was the empty→non-empty edge.
   void after_publish(bool edge);
-  bool send_ring(const Message& m, std::chrono::nanoseconds timeout);
-
-  // --- mutex engine -------------------------------------------------------
-  bool send_mutex(const Message& m, std::chrono::nanoseconds timeout);
-  /// Pops one message from the consumer side; refills the outbox from the
-  /// inbox (one lock) when needed.  Returns false when both are empty.
-  bool consume(Message& out);
-  /// Under mutex_: enqueue to the inbox and capture the hook to fire when
-  /// this enqueue is the empty→non-empty edge.
-  std::function<void()> push_locked(const Message& m);
 
   const std::size_t capacity_;
   const OverflowPolicy policy_;
-  const MailboxKind kind_;
 
-  /// Guards inbox_ (kMutex), overflow_ + spilled_ transitions (kRing),
-  /// closed_ writes, on_ready_, and the condition variables.
+  /// Guards overflow_ + spilled_ transitions, closed_ writes, on_ready_,
+  /// and the condition variables.
   mutable std::mutex mutex_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
 
-  // Ring storage (kRing only; empty allocation on kMutex).
   std::unique_ptr<Cell[]> cells_;
   std::size_t ring_mask_ = 0;
   alignas(64) std::atomic<std::size_t> enqueue_pos_{0};
@@ -263,22 +232,18 @@ class Mailbox {
   std::atomic<bool> spilled_{false};
   std::deque<Message> overflow_;  ///< spill queue, guarded by mutex_
 
-  // Two-queue storage (kMutex only).
-  std::deque<Message> inbox_;   ///< producer side, appended under mutex_
-  std::deque<Message> outbox_;  ///< consumer-private, refilled by swap
-
   /// Unconsumed messages.  The empty→non-empty edge is a 0→1 transition of
   /// this counter; producers see capacity through it (the ring's credit
   /// counter — freed by release_slots, not by dequeue).
   alignas(64) std::atomic<std::size_t> size_{0};
-  /// High-water mark of size_, maintained with a CAS max (ring producers
-  /// race on it), read lock-free by telemetry samplers.
+  /// High-water mark of size_, maintained with a CAS max (producers race
+  /// on it), read lock-free by telemetry samplers.
   std::atomic<std::size_t> depth_peak_{0};
   /// Senders currently blocked in send(); consumers take the lock before
   /// notifying not_full_ only when this is non-zero, keeping the consume
   /// fast path lock-free.
   std::atomic<int> waiting_senders_{0};
-  /// Consumers parked in receive(); ring producers take the lock before
+  /// Consumers parked in wait_ready(); producers take the lock before
   /// notifying not_empty_ only when this is non-zero, keeping the publish
   /// fast path lock-free.
   std::atomic<int> waiting_consumers_{0};

@@ -53,10 +53,9 @@ struct SchedulerCounters {
   std::uint64_t batch_messages = 0;
   std::uint64_t max_batch = 0;
   /// Messages that entered mailboxes through the lock-free ring fast path
-  /// and the ones that spilled to the mutex side queue (both 0 under
-  /// --mailbox=mutex).  Enqueue *volume*, not hint counts: the ready-hint
-  /// ledger above fires one hint per empty→non-empty edge, so
-  /// ring_enqueues >= pushes on the ring path while the pushes ==
+  /// and the ones that spilled to the mutex side queue.  Enqueue *volume*,
+  /// not hint counts: the ready-hint ledger above fires one hint per
+  /// empty→non-empty edge, so ring_enqueues >= pushes while the pushes ==
   /// local_pops + steals + discarded invariant is unchanged.
   std::uint64_t ring_enqueues = 0;
   std::uint64_t ring_spills = 0;

@@ -1,33 +1,32 @@
 // Execution scheduling behind the actor engine.
 //
 // The engine (engine.hpp) is the *actor core*: it owns the actor graph,
-// message dispatch, routing, metering and the drain protocol.  How actors
-// get CPU time is delegated to a Scheduler:
+// message dispatch, routing, metering and the drain protocol, and it runs
+// an actor in *slices* (EngineCore::run_slice): drain what the mailbox
+// holds, up to a bound, and process it — or, for a source, emit up to that
+// many items.  A Scheduler only decides where slices run:
 //
-//   * ThreadPerActorScheduler — one dedicated thread per actor, blocking
-//     mailbox receive.  This is the configuration the paper evaluates
-//     (§5.1, one Akka actor per operator) and the default; its semantics
-//     are byte-for-byte those of the original monolithic engine.
+//   * ThreadPerActorScheduler — one dedicated thread per actor that waits
+//     on the mailbox (Mailbox::wait_ready), then runs a slice.  This is
+//     the configuration the paper evaluates (§5.1, one Akka actor per
+//     operator) and the default.
 //   * PooledScheduler — multiplexes N actors onto K worker threads with
 //     work stealing.  Workers never park on a per-mailbox condition
 //     variable: each mailbox routes its empty→non-empty readiness hint
 //     (Mailbox::set_on_ready) to the per-worker deque of the worker that
 //     last ran the actor (warm cache); owners pop LIFO, idle workers steal
-//     FIFO, and ready actors are drained in bounded batches — one mailbox
-//     lock acquisition per batch (Mailbox::drain) — through the
-//     non-blocking try_send() send path.
+//     FIFO, and a claimed actor runs one slice.
 //     Operator logic that parks its thread (timed-wait services, blocking
 //     sends under backpressure) wraps the park in a BlockingSection so the
 //     pool can lend the core to another worker meanwhile — K bounds the
 //     number of *runnable* workers, not the number of sleepers, which is
 //     what keeps wait-realized service times (clock.hpp) rate-faithful.
 //
-// Schedulers drive the engine through the narrow EngineCore interface so
-// new policies (work stealing, NUMA-pinned pools) can be added without
-// touching the actor core.
+// Both policies run the same slice code, and the engine delivers messages
+// itself (try_send fast path, blocking send inside a BlockingSection), so
+// the two backends differ only in placement, never in what an actor does.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -64,71 +63,45 @@ enum class PinMode : std::uint8_t {
 PinMode pin_mode_from_string(const std::string& name);
 const char* to_string(PinMode mode);
 
-/// What a Scheduler needs from the engine: actor-graph shape, the blocking
-/// per-actor loop (thread-per-actor mode) and the step-wise execution
-/// pieces (pooled mode).  Implemented by Engine.
+/// Messages (or source items) one actor slice handles unless configured
+/// otherwise (EngineConfig::pool_batch, --batch).
+inline constexpr std::size_t kDefaultSliceSize = 64;
+
+/// What one EngineCore::run_slice() call did.
+struct SliceOutcome {
+  /// The actor finished (end of stream, finish epilogue run), retired at
+  /// an epoch fence (no epilogue: its state carries into the next epoch)
+  /// or failed.  It must not be run again; the scheduler reports it with
+  /// actor_done() once it gave up its claim.
+  bool done = false;
+  /// Mailbox messages this slice consumed (0 for sources).
+  std::size_t messages = 0;
+};
+
+/// What a Scheduler needs from the engine: the actor-graph shape and one
+/// step function.  Implemented by Engine.
 class EngineCore {
  public:
   virtual ~EngineCore() = default;
 
   virtual std::size_t num_actors() const = 0;
   virtual bool is_source(std::size_t id) const = 0;
-  /// Shutdown tokens expected before the actor may finish.
-  virtual int incoming_channels(std::size_t id) const = 0;
   virtual Mailbox& mailbox(std::size_t id) = 0;
 
-  /// Runs one actor to completion: blocking receive loop (or source loop)
-  /// plus the finish/drain epilogue.  Thread-per-actor mode only.
-  virtual void run_actor(std::size_t id) = 0;
+  /// Runs one slice of actor `id`; the caller guarantees one slice per
+  /// actor at a time.  A source emits up to `max` items.  Any other actor
+  /// drains what its mailbox holds now, up to `max` messages, releasing
+  /// each message's capacity slot as it enters service, and processes
+  /// them.  The slice counts shutdown tokens, detects fence retirement,
+  /// stages outputs and meters busy time, and runs the finish epilogue or
+  /// reports a failure itself.  It returns only after every staged message
+  /// is delivered and every meter slice is closed, so a `done` actor may be
+  /// completed at once.
+  virtual SliceOutcome run_slice(std::size_t id, std::size_t max) = 0;
 
-  /// Emits up to `quantum` source items; returns false when the source
-  /// ended (or the run was stopped) and the finish epilogue is due.
-  virtual bool pump_source(std::size_t id, int quantum) = 0;
-
-  /// Dispatches one already-dequeued data/seq-mark message to the actor's
-  /// logic.  The caller guarantees single-threaded access per actor.
-  virtual void process_message(std::size_t id, Message& m) = 0;
-
-  /// Output staging: a scheduler that hands an actor a whole batch
-  /// brackets it with this pair so the engine may coalesce consecutive
-  /// same-destination emissions into a cache-aligned MessageBatch and hand
-  /// them to the destination mailbox as one unit (Mailbox::try_send_batch).
-  /// flush is mandatory on every exit path *before* the actor is marked
-  /// complete — staged messages must reach their mailboxes while the slice
-  /// is still live, or tokens sent by the finish/fence epilogues would
-  /// overtake data.  Default: no staging (per-message delivery).
-  virtual void begin_output_batch(std::size_t /*id*/) {}
-  virtual void flush_output_batch(std::size_t /*id*/) {}
-
-  /// Batch-granularity utilization metering: a scheduler that hands an
-  /// actor a whole batch of messages brackets the batch with this pair so
-  /// the engine times the batch as ONE busy slice (two clock reads per
-  /// batch instead of two per message) and suppresses the per-message
-  /// metering inside process_message().  begin returns false — and the
-  /// scheduler must then skip the end call — when nothing was opened
-  /// (metering off, or the actor's busy time is charged per logical
-  /// member as for fused meta groups).  Default: per-message metering.
-  virtual bool begin_batch_meter(std::size_t /*id*/) { return false; }
-  virtual void end_batch_meter(std::size_t /*id*/) {}
-
-  /// Flushes logic state and propagates end-of-stream tokens downstream.
-  virtual void finish_actor(std::size_t id) = 0;
-
-  /// Records the first failure, stops the run and unblocks neighbours so
-  /// the drain completes; the engine rethrows after the run.
-  virtual void report_failure(std::size_t id, const std::string& what) = 0;
-
-  /// True when `id` passed an epoch fence and retired: the scheduler must
-  /// complete the actor WITHOUT the finish epilogue (no logic flush, no
-  /// shutdown tokens) — its state stays alive for migration into the next
-  /// epoch.  Checked after process_message()/pump_source() returns.
-  virtual bool actor_retired(std::size_t id) const = 0;
-
-  /// Actor `id` fully finished or retired; the engine's active-actor
+  /// Actor `id` is done (run_slice said so); the engine's active-actor
   /// accounting and completion signalling live here.
   virtual void actor_done(std::size_t id) = 0;
-
-  virtual bool stop_requested() const = 0;
 };
 
 /// Execution policy: owns the threads that run the actors.
@@ -140,13 +113,6 @@ class Scheduler {
   /// scheduler.
   virtual void start(EngineCore& core) = 0;
 
-  /// Delivers a data message to `target`'s mailbox with the backpressure
-  /// behaviour appropriate to the scheduling model (blocking send for
-  /// dedicated threads; try_send fast path + cooperative blocking for the
-  /// pool).  Returns false when the item was dropped or the box closed.
-  virtual bool deliver(std::size_t target, const Message& m,
-                       std::chrono::nanoseconds timeout) = 0;
-
   /// Waits until every actor finished (the drain completed), then stops
   /// and joins all execution threads.  Idempotent.
   virtual void join() = 0;
@@ -157,20 +123,25 @@ class Scheduler {
   [[nodiscard]] virtual SchedulerCounters counters() const { return {}; }
 };
 
-/// `workers <= 0` means one worker per hardware thread; `batch` is the
-/// number of messages a pooled worker drains per actor claim (both pooled
-/// only, `batch <= 0` means the default of 64); `pin` maps pooled workers
-/// to CPUs (kNone for the thread-per-actor backend).
+/// `batch` is the slice size of both backends (`batch <= 0` means
+/// kDefaultSliceSize); `workers` (<= 0: one per hardware thread) and `pin`
+/// (worker-to-CPU mapping) apply to the pool only.
 std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind, int workers, int batch = 0,
                                           PinMode pin = PinMode::kNone);
 
+/// Delivers the output the calling thread's operator slice has staged so
+/// far (a no-op when nothing is staged, and for source slices, which keep
+/// their own batching policy).  Implemented by the engine.
+void flush_staged_output() noexcept;
+
 /// RAII marker around a thread-parking section (timed wait, blocking send,
-/// I/O) inside operator or engine code.  Under the pooled scheduler this
-/// releases the caller's worker slot so another worker can keep draining —
-/// the mechanism that makes K-worker pools throughput-equivalent to
-/// thread-per-actor on wait-bound workloads and that guarantees
-/// backpressure blocking can never deadlock the pool.  A no-op on
-/// non-pooled threads.
+/// I/O) inside operator or engine code.  On entry it delivers the output
+/// the calling thread's operator slice has staged so far, so results never
+/// wait out the park (on both backends).  Under the pooled scheduler it
+/// then releases the caller's worker slot so another worker can keep
+/// draining — the mechanism that makes K-worker pools throughput-
+/// equivalent to thread-per-actor on wait-bound workloads and that
+/// guarantees backpressure blocking can never deadlock the pool.
 class BlockingSection {
  public:
   BlockingSection() noexcept;

@@ -1,10 +1,11 @@
 // SchedulerHost implementation: the pooled dispatcher generalized to many
-// tenants.  The per-actor mechanics (claim slot, bounded drain batch,
-// batch metering, fence retirement, requeue-on-race) are the pooled
-// scheduler's, ported verbatim but parameterized by tenant; what is new is
-// the cross-tenant layer — stride-weighted tenant selection, host-level
-// parking keyed on the aggregate pending count, blocking compensation
-// shared across tenants, and hot attach/detach under the tenant lock.
+// tenants.  Per actor the host only claims, runs one engine slice
+// (EngineCore::run_slice: drain, metering, staging, fence retirement and
+// the finish epilogue all live there) and completes or requeues; what it
+// adds is the cross-tenant layer — stride-weighted tenant selection,
+// host-level parking keyed on the aggregate pending count, blocking
+// compensation shared across tenants, and hot attach/detach under the
+// tenant lock.
 #include "runtime/scheduler_host.hpp"
 
 #include <algorithm>
@@ -21,8 +22,6 @@
 namespace ss::runtime {
 
 namespace {
-constexpr int kDefaultBatch = 64;
-constexpr int kSourceQuantum = 64;
 /// Stride numerator: pass advances by kStrideScale/weight per dispatched
 /// actor batch, so a weight-2 tenant is served twice as often as a
 /// weight-1 neighbor when both stay ready.
@@ -106,7 +105,6 @@ struct SchedulerHost::Tenant {
   struct ActorSlot {
     std::atomic<bool> running{false};  ///< claim: one worker per actor
     std::atomic<bool> done{false};
-    int shutdowns = 0;  ///< tokens seen; touched only while claimed
   };
 
   std::unique_ptr<WorkStealingQueues> queues;  ///< per-tenant ready hints
@@ -126,7 +124,9 @@ struct SchedulerHost::Tenant {
 };
 
 SchedulerHost::SchedulerHost(int workers, int batch, PinMode pin)
-    : target_(workers), batch_(batch > 0 ? batch : kDefaultBatch), pin_(pin) {
+    : target_(workers),
+      batch_(batch > 0 ? static_cast<std::size_t>(batch) : kDefaultSliceSize),
+      pin_(pin) {
   if (target_ <= 0) {
     target_ = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   }
@@ -399,147 +399,29 @@ void SchedulerHost::run_actor_slot(const TenantId& t, std::size_t self, std::siz
   trace::set_thread_tenant(t->trace_label);
   EngineCore* core = t->core;
   t->last_worker[id].store(self, std::memory_order_relaxed);
-  bool requeue = false;
-  // Output staging: the engine coalesces a slice's consecutive
-  // same-destination emissions into a MessageBatch handed over with one
-  // try_send_batch.  Staged messages MUST flush before complete() — the
-  // finish/fence epilogues send tokens that may not overtake data, and the
-  // moment complete() drops the tenant's last `remaining` the engine may be
-  // destroyed under us.  close() covers the completion paths; the
-  // destructor covers normal exit and exceptions thrown before complete().
-  struct OutputStageGuard {
-    EngineCore* core;
-    std::size_t id;
-    bool armed;
-    void close() {
-      if (armed) core->flush_output_batch(id);
-      armed = false;
-    }
-    ~OutputStageGuard() { close(); }
-  };
-  if (core->is_source(id)) {
-    trace::Span span("pump", "actor");
-    span.set_arg("actor", static_cast<std::int64_t>(id));
-    bool more = false;
-    OutputStageGuard stage{core, id, true};
-    core->begin_output_batch(id);
-    try {
-      more = core->pump_source(id, kSourceQuantum);
-    } catch (const std::exception& e) {
-      stage.close();
-      core->report_failure(id, e.what());
-      complete(*t, id, /*run_finish=*/false);
-      return;
-    }
-    stage.close();
-    if (core->actor_retired(id)) {  // epoch fence: no finish epilogue
-      complete(*t, id, /*run_finish=*/false);
-      return;
-    }
-    if (!more) {
-      complete(*t, id, /*run_finish=*/true);
-      return;
-    }
-    requeue = true;  // sources stay ready until exhausted
-  } else {
-    // One lock acquisition hands the whole batch over (Mailbox::drain), but
-    // each message's capacity slot is released only as it enters service —
-    // freeing the whole batch up front would give senders capacity
-    // B + batch and visibly weaken the BAS backpressure the cost models
-    // assume.  Tokens and data stay in FIFO order inside the batch.
-    thread_local std::vector<Message> batch;
-    batch.clear();
-    trace::Span span("batch", "actor");
-    Mailbox& box = core->mailbox(id);
-    const std::size_t taken =
-        box.drain(batch, static_cast<std::size_t>(batch_), /*release_now=*/false);
-    span.set_arg("n", static_cast<std::int64_t>(taken));
-    if (taken > 0) {
-      t->batches.fetch_add(1, std::memory_order_relaxed);
-      t->batch_messages.fetch_add(taken, std::memory_order_relaxed);
-      std::uint64_t prev = t->max_batch.load(std::memory_order_relaxed);
-      while (prev < taken &&
-             !t->max_batch.compare_exchange_weak(prev, taken, std::memory_order_relaxed)) {
-      }
-    }
-    // Time the whole batch as one busy slice (per-message metering inside
-    // process_message is suppressed while the slice is open); the guard
-    // closes the slice on every exit path, including completions and
-    // failures.
-    // The slice must be closed BEFORE complete(): the moment complete()
-    // drops the tenant's last `remaining`, wait_drained() returns and the
-    // owner may destroy the engine — a guard firing after that would touch
-    // freed memory.  close() covers the completion paths; the destructor
-    // covers normal exit and exceptions thrown before complete().
-    struct BatchMeterGuard {
-      EngineCore* core;
-      std::size_t id;
-      bool armed;
-      void close() {
-        if (armed) core->end_batch_meter(id);
-        armed = false;
-      }
-      ~BatchMeterGuard() { close(); }
-    } meter{core, id, taken > 0 && core->begin_batch_meter(id)};
-    // Staging, declared after `meter` so the destructor (normal exit,
-    // exceptions before complete()) flushes first, then closes the slice —
-    // dispatch time lands in the busy slice.
-    OutputStageGuard stage{core, id, taken > 0};
-    if (stage.armed) core->begin_output_batch(id);
-    std::size_t released = 0;
-    try {
-      for (Message& msg : batch) {
-        box.release(1);
-        ++released;
-        if (msg.kind == Message::Kind::kShutdown) {
-          // FIFO per channel puts each upstream's token after its data, so
-          // once all tokens arrived no data can be pending behind them —
-          // a completed actor cannot strand messages later in the batch.
-          if (++slot.shutdowns >= core->incoming_channels(id)) {
-            if (taken > released) box.release(taken - released);
-            stage.close();
-            meter.close();
-            complete(*t, id, /*run_finish=*/true);
-            return;
-          }
-          continue;
-        }
-        core->process_message(id, msg);
-        if (core->actor_retired(id)) {
-          // The message was the actor's final fence token: it forwarded the
-          // fence and retired.  FIFO per channel puts every upstream's data
-          // before its token, so nothing can be pending later in the batch.
-          if (taken > released) box.release(taken - released);
-          stage.close();
-          meter.close();
-          complete(*t, id, /*run_finish=*/false);
-          return;
-        }
-      }
-    } catch (const std::exception& e) {
-      if (taken > released) box.release(taken - released);
-      stage.close();
-      meter.close();
-      core->report_failure(id, e.what());
-      complete(*t, id, /*run_finish=*/false);
-      return;
+  const SliceOutcome slice = core->run_slice(id, batch_);
+  if (slice.messages > 0) {
+    t->batches.fetch_add(1, std::memory_order_relaxed);
+    t->batch_messages.fetch_add(slice.messages, std::memory_order_relaxed);
+    std::uint64_t prev = t->max_batch.load(std::memory_order_relaxed);
+    while (prev < slice.messages &&
+           !t->max_batch.compare_exchange_weak(prev, slice.messages,
+                                               std::memory_order_relaxed)) {
     }
   }
+  if (slice.done) {
+    complete(*t, id);
+    return;
+  }
+  const bool requeue = core->is_source(id);  // sources stay ready until exhausted
   slot.running.store(false, std::memory_order_release);
-  // A message that arrived during the batch fired its readiness hint while
+  // A message that arrived during the slice fired its readiness hint while
   // we still held the claim (the hint was discarded): re-check so nothing
   // is stranded.
   if (requeue || core->mailbox(id).size() > 0) enqueue(t, id);
 }
 
-void SchedulerHost::complete(Tenant& t, std::size_t id, bool run_finish) {
-  if (run_finish) {
-    try {
-      t.core->finish_actor(id);  // flush logic, propagate shutdown tokens
-    } catch (const std::exception& e) {
-      t.core->report_failure(id, e.what());
-    }
-  }
+void SchedulerHost::complete(Tenant& t, std::size_t id) {
   Tenant::ActorSlot& slot = t.slots[id];
   slot.done.store(true, std::memory_order_release);
   slot.running.store(false, std::memory_order_release);
@@ -554,10 +436,13 @@ void SchedulerHost::complete(Tenant& t, std::size_t id, bool run_finish) {
 
 // --------------------------------------------------------------------------
 // BlockingSection: cooperative blocking compensation (scheduler.hpp).  The
-// thread-local host pointer is set by worker_loop, so operator/engine code
-// blocking on a non-worker thread is a no-op as before.
+// thread-local host pointer is set by worker_loop, so on a non-worker
+// thread the section only flushes the staged output.
 
 BlockingSection::BlockingSection() noexcept : pool_(tls_host) {
+  // First, so the blocking deliveries of the flush are not nested inside
+  // this section's compensation.
+  flush_staged_output();
   if (pool_ != nullptr) static_cast<SchedulerHost*>(pool_)->blocking_begin();
 }
 
@@ -579,23 +464,7 @@ class HostedScheduler final : public Scheduler {
                   std::string label, double weight)
       : host_(host), owned_(std::move(owned)), label_(std::move(label)), weight_(weight) {}
 
-  void start(EngineCore& core) override {
-    core_ = &core;
-    tenant_ = host_->attach(core, label_, weight_);
-  }
-
-  bool deliver(std::size_t target, const Message& m,
-               std::chrono::nanoseconds timeout) override {
-    Mailbox& box = core_->mailbox(target);
-    if (box.try_send(m)) return true;
-    // Slow path: closed, or full.  Under shedding the drop was already
-    // counted by try_send; under BAS block honestly — the BlockingSection
-    // lends the core onward, so the host keeps draining the destination
-    // and the send completes (backpressure without pool deadlock).
-    if (box.closed() || box.policy() == OverflowPolicy::kShedNewest) return false;
-    BlockingSection blocking;
-    return box.send(m, timeout);
-  }
+  void start(EngineCore& core) override { tenant_ = host_->attach(core, label_, weight_); }
 
   void join() override {
     if (joined_) return;
@@ -615,7 +484,6 @@ class HostedScheduler final : public Scheduler {
   std::unique_ptr<SchedulerHost> owned_;
   std::string label_;
   double weight_;
-  EngineCore* core_ = nullptr;
   SchedulerHost::TenantId tenant_;
   SchedulerCounters saved_;
   bool joined_ = false;

@@ -55,8 +55,8 @@ class SchedulerHost {
   /// moment every actor slot is done).
   using TenantId = std::shared_ptr<Tenant>;
 
-  /// `workers <= 0` means one per hardware thread; `batch <= 0` means the
-  /// default drain batch of 64 messages per actor claim; `pin` maps worker
+  /// `workers <= 0` means one per hardware thread; `batch` is the slice
+  /// size of every actor claim (`<= 0`: kDefaultSliceSize); `pin` maps worker
   /// threads to CPUs (best-effort: warns once and continues unpinned when
   /// sched_setaffinity is unavailable).
   explicit SchedulerHost(int workers = 0, int batch = 0,
@@ -113,12 +113,14 @@ class SchedulerHost {
   void worker_loop(std::size_t self);
   bool run_one(std::size_t self);
   void run_actor_slot(const TenantId& t, std::size_t self, std::size_t id);
-  void complete(Tenant& t, std::size_t id, bool run_finish);
+  /// Marks a `done` actor complete: claim released, engine told, tenant
+  /// drain count dropped (the engine may be destroyed right after).
+  void complete(Tenant& t, std::size_t id);
   void enqueue(const TenantId& t, std::size_t id);
   void wake_or_spawn();
 
   int target_;           ///< runnable-worker budget (K)
-  int batch_;            ///< messages drained per actor claim
+  std::size_t batch_;    ///< slice size: messages drained per actor claim
   PinMode pin_;          ///< worker-to-CPU mapping (--pin)
   int max_threads_ = 0;  ///< cap: target_ + sum of active tenants' actors
 

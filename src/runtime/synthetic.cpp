@@ -4,6 +4,7 @@
 
 #include "runtime/clock.hpp"
 #include "runtime/scheduler.hpp"
+#include "runtime/telemetry.hpp"
 #include "runtime/wire.hpp"
 
 namespace ss::runtime {
@@ -109,7 +110,7 @@ bool SyntheticSource::next(Tuple& out) {
   if (max_items_ >= 0 && next_id_ >= max_items_) return false;
   if (service_time_ > 0.0) {
     BlockingSection blocking;
-    waiter_.wait(service_time_);
+    pacer_.wait(service_time_, scope_blocked_ns());
   }
   out.id = next_id_++;
   out.key = static_cast<std::int64_t>(rng_.next_u64() >> 1);

@@ -55,7 +55,7 @@ class SyntheticSource final : public SourceLogic {
 
  private:
   double service_time_;
-  PacedWaiter waiter_;
+  SchedulePacer pacer_;
   Rng rng_;
   std::int64_t next_id_ = 0;
   std::int64_t max_items_;

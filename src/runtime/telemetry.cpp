@@ -45,16 +45,21 @@ bool blocked_metering_enabled() {
   return tls_context.board != nullptr && tls_context.board->enabled();
 }
 
+bool has_actor_context() { return tls_context.board != nullptr; }
+
+std::uint64_t scope_blocked_ns() { return tls_context.blocked_in_scope; }
+
 void charge_blocked(std::uint64_t ns) {
   if (tls_context.board == nullptr) return;
-  tls_context.board->add_blocked(tls_context.op, ns);
   tls_context.blocked_in_scope += ns;
+  if (tls_context.board->enabled()) tls_context.board->add_blocked(tls_context.op, ns);
 }
 
 void charge_blocked(std::uint64_t ns, OpIndex dest_op) {
   if (tls_context.board == nullptr) return;
-  tls_context.board->add_blocked(tls_context.op, ns);
   tls_context.blocked_in_scope += ns;
+  if (!tls_context.board->enabled()) return;
+  tls_context.board->add_blocked(tls_context.op, ns);
   if (dest_op == kInvalidOp) return;
   if (BlockedEdgeSink* sink = tls_context.board->blocked_sink(); sink != nullptr) {
     sink->record_blocked_edge(tls_context.op, dest_op, ns);

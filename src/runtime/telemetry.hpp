@@ -138,11 +138,21 @@ class ScopedActorContext {
 };
 
 /// True when the calling thread holds an ActorContext whose board is
-/// enabled — the mailbox's wait path checks this before reading clocks.
+/// enabled.
 [[nodiscard]] bool blocked_metering_enabled();
 
+/// True when the calling thread holds an ActorContext — the mailbox's
+/// wait path checks this before reading clocks.
+[[nodiscard]] bool has_actor_context();
+
+/// Blocked-on-send nanoseconds charged inside the calling thread's current
+/// actor scope so far (0 outside any): what a paced source subtracts from
+/// its schedule, whether or not the board is enabled.
+[[nodiscard]] std::uint64_t scope_blocked_ns();
+
 /// Charges `ns` of blocked-on-send time to the calling thread's current
-/// actor context (no-op without one / with the gate closed).
+/// actor scope, and to its board while the board is enabled (no-op without
+/// a context).
 void charge_blocked(std::uint64_t ns);
 
 /// Like charge_blocked(ns), and additionally reports the blocked *edge*

@@ -1,6 +1,7 @@
 // ThreadPerActorScheduler: one dedicated thread per actor, the §5.1
 // configuration the paper evaluates and the engine's default.  Each thread
-// runs the actor's blocking loop; a full destination mailbox blocks the
+// waits on its actor's mailbox and runs the engine's slice step — the same
+// step the pool's workers run.  A full destination mailbox blocks the
 // sending thread (Blocking-After-Service), which *is* the backpressure the
 // cost models capture.
 #include <thread>
@@ -15,27 +16,26 @@ namespace {
 
 class ThreadPerActorScheduler final : public Scheduler {
  public:
+  explicit ThreadPerActorScheduler(std::size_t slice) : slice_(slice) {}
+
   void start(EngineCore& core) override {
     core_ = &core;
     threads_.reserve(core.num_actors());
     for (std::size_t id = 0; id < core.num_actors(); ++id) {
       threads_.emplace_back([this, id] {
-        try {
-          core_->run_actor(id);
-        } catch (const std::exception& e) {
-          // No exception may cross a thread boundary: record the failure,
-          // stop the run and unblock neighbours so the drain completes;
-          // run_for()/run_until_complete() rethrow after join.
-          core_->report_failure(id, e.what());
+        if (core_->is_source(id)) {
+          while (!core_->run_slice(id, slice_).done) {
+          }
+        } else {
+          // wait_ready() is false only for a closed, drained mailbox, and
+          // only a failed actor's own slice closes it (then reports done).
+          Mailbox& box = core_->mailbox(id);
+          while (box.wait_ready() && !core_->run_slice(id, slice_).done) {
+          }
         }
         core_->actor_done(id);
       });
     }
-  }
-
-  bool deliver(std::size_t target, const Message& m,
-               std::chrono::nanoseconds timeout) override {
-    return core_->mailbox(target).send(m, timeout);
   }
 
   void join() override {
@@ -46,6 +46,7 @@ class ThreadPerActorScheduler final : public Scheduler {
   }
 
  private:
+  std::size_t slice_;
   EngineCore* core_ = nullptr;
   std::vector<std::thread> threads_;
 };
@@ -81,17 +82,13 @@ const char* to_string(PinMode mode) {
   }
 }
 
-std::unique_ptr<Scheduler> make_thread_per_actor_scheduler();
 std::unique_ptr<Scheduler> make_pooled_scheduler(int workers, int batch, PinMode pin);
-
-std::unique_ptr<Scheduler> make_thread_per_actor_scheduler() {
-  return std::make_unique<ThreadPerActorScheduler>();
-}
 
 std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind, int workers, int batch,
                                           PinMode pin) {
   if (kind == SchedulerKind::kPooled) return make_pooled_scheduler(workers, batch, pin);
-  return make_thread_per_actor_scheduler();
+  return std::make_unique<ThreadPerActorScheduler>(
+      batch > 0 ? static_cast<std::size_t>(batch) : kDefaultSliceSize);
 }
 
 }  // namespace ss::runtime

@@ -490,38 +490,15 @@ TEST_F(CliTest, RecoverOnEmptyDirStartsFresh) {
   EXPECT_NE(out.find("recover: no valid checkpoint"), std::string::npos) << out;
 }
 
-TEST_F(CliTest, MailboxFlagSelectsEitherInboxEngine) {
-  auto [rcode, rout, rerr] = run(
-      {"run", "--engine=pool", "--workers=2", "--mailbox=ring", "--seconds=0.3"});
-  EXPECT_EQ(rcode, 0) << rerr;
-  EXPECT_NE(rout.find("src"), std::string::npos);
-
-  auto [mcode, mout, merr] = run(
-      {"run", "--engine=pool", "--workers=2", "--mailbox=mutex", "--seconds=0.3"});
-  EXPECT_EQ(mcode, 0) << merr;
-  EXPECT_NE(mout.find("src"), std::string::npos);
-}
-
-TEST_F(CliTest, RunRejectsUnknownMailboxKind) {
-  auto [code, out, err] =
-      run({"run", "--engine=pool", "--mailbox=carrier-pigeon", "--seconds=0.1"});
-  EXPECT_EQ(code, 1);
-  EXPECT_NE(err.find("unknown mailbox kind"), std::string::npos) << err;
-}
-
 TEST_F(CliTest, PinAndMailboxRejectedUnderSimBackend) {
-  // The simulator has no worker threads or inboxes to configure.
+  // The simulator has no worker threads to configure.
   auto [pcode, pout, perr] = run({"run", "--engine=sim", "--pin=cores"});
   EXPECT_EQ(pcode, 1);
-  EXPECT_NE(perr.find("--pin/--mailbox configure the live runtime"),
-            std::string::npos)
-      << perr;
+  EXPECT_NE(perr.find("--pin configures the live runtime"), std::string::npos) << perr;
 
-  auto [mcode, mout, merr] = run({"simulate", "--mailbox=ring", "--duration=1"});
+  auto [mcode, mout, merr] = run({"simulate", "--pin=cores", "--duration=1"});
   EXPECT_EQ(mcode, 1);
-  EXPECT_NE(merr.find("--pin/--mailbox configure the live runtime"),
-            std::string::npos)
-      << merr;
+  EXPECT_NE(merr.find("--pin configures the live runtime"), std::string::npos) << merr;
 }
 
 TEST_F(CliTest, PinRequiresThePoolEngine) {

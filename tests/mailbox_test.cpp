@@ -84,6 +84,26 @@ TEST(Mailbox, ReceiverBlocksUntilMessageArrives) {
   producer.join();
 }
 
+TEST(Mailbox, WaitReadyParksUntilReadableAndTakesNothing) {
+  // The dedicated actor thread's park: it returns once a message is
+  // readable, leaves the message for the slice's drain, and reports a
+  // closed box only once nothing is left to read.
+  Mailbox box(4);
+  std::thread producer([&] {
+    std::this_thread::sleep_for(20ms);
+    EXPECT_TRUE(box.send(data_msg(42), 1s));
+  });
+  ASSERT_TRUE(box.wait_ready());  // blocks until the producer delivers
+  producer.join();
+  EXPECT_EQ(box.size(), 1u);
+  box.close();
+  EXPECT_TRUE(box.wait_ready());  // closed, but still readable
+  std::vector<Message> batch;
+  ASSERT_EQ(box.drain(batch, 8), 1u);
+  EXPECT_EQ(batch[0].tuple.id, 42);
+  EXPECT_FALSE(box.wait_ready());  // closed and drained
+}
+
 TEST(Mailbox, CloseDrainsThenStops) {
   Mailbox box(4);
   ASSERT_TRUE(box.send(data_msg(1), 1s));
@@ -202,8 +222,8 @@ TEST(MailboxDrain, TakesUpToBatchInFifoOrder) {
 }
 
 TEST(MailboxDrain, InterleavedWithSendsNeverReorders) {
-  // Producer bursts interleaved with partial drains: the two-queue swap
-  // must still present a single FIFO stream across refills.
+  // Producer bursts interleaved with partial drains: the ring must still
+  // present a single FIFO stream across drains.
   Mailbox box(64);
   std::vector<Message> batch;
   std::int64_t next_in = 0;
@@ -211,7 +231,7 @@ TEST(MailboxDrain, InterleavedWithSendsNeverReorders) {
   for (int round = 0; round < 8; ++round) {
     for (int i = 0; i < 5; ++i) ASSERT_TRUE(box.try_send(data_msg(next_in++)));
     batch.clear();
-    box.drain(batch, 3);  // partial: leaves messages behind in the outbox
+    box.drain(batch, 3);  // partial: leaves messages behind in the ring
     if ((round % 2) != 0) box.send_unbounded(Message::shutdown());
     for (const Message& m : batch) {
       if (m.kind == Message::Kind::kData) EXPECT_EQ(m.tuple.id, next_out++);
@@ -415,17 +435,12 @@ TEST(Mailbox, SetOnReadyIsSafeWhileProducersAreLive) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine parity: the mailbox contract must hold identically on the lock-free
-// ring (the default) and the mutex two-queue baseline `--mailbox=mutex` keeps
-// alive.  Value-parameterized so neither engine loses coverage.
+// The ring's mailbox contract: FIFO, BAS timeouts and resumption, shedding,
+// close, batched sends and deferred release.  The TSAN/ASan CI jobs rerun
+// these together with the stress cases below.
 
-class MailboxBothKinds : public ::testing::TestWithParam<MailboxKind> {
- protected:
-  [[nodiscard]] MailboxKind kind() const { return GetParam(); }
-};
-
-TEST_P(MailboxBothKinds, PreservesFifoOrder) {
-  Mailbox box(16, OverflowPolicy::kBlockAfterService, kind());
+TEST(MailboxRing, PreservesFifoOrder) {
+  Mailbox box(16, OverflowPolicy::kBlockAfterService);
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(box.send(data_msg(i), 1s));
   Message out;
   for (int i = 0; i < 10; ++i) {
@@ -434,8 +449,8 @@ TEST_P(MailboxBothKinds, PreservesFifoOrder) {
   }
 }
 
-TEST_P(MailboxBothKinds, SendTimesOutWhenFullAndCountsTheDrop) {
-  Mailbox box(2, OverflowPolicy::kBlockAfterService, kind());
+TEST(MailboxRing, SendTimesOutWhenFullAndCountsTheDrop) {
+  Mailbox box(2, OverflowPolicy::kBlockAfterService);
   ASSERT_TRUE(box.send(data_msg(0), 10ms));
   ASSERT_TRUE(box.send(data_msg(1), 10ms));
   EXPECT_FALSE(box.send(data_msg(2), 50ms));
@@ -443,8 +458,8 @@ TEST_P(MailboxBothKinds, SendTimesOutWhenFullAndCountsTheDrop) {
   EXPECT_EQ(box.size(), 2u);
 }
 
-TEST_P(MailboxBothKinds, BlockedSenderResumesWhenSlotFrees) {
-  Mailbox box(1, OverflowPolicy::kBlockAfterService, kind());
+TEST(MailboxRing, BlockedSenderResumesWhenSlotFrees) {
+  Mailbox box(1, OverflowPolicy::kBlockAfterService);
   ASSERT_TRUE(box.send(data_msg(0), 1s));
   std::thread producer([&] { EXPECT_TRUE(box.send(data_msg(1), 5s)); });
   std::this_thread::sleep_for(20ms);  // let the producer block (BAS)
@@ -457,8 +472,8 @@ TEST_P(MailboxBothKinds, BlockedSenderResumesWhenSlotFrees) {
   EXPECT_EQ(box.dropped(), 0u);
 }
 
-TEST_P(MailboxBothKinds, ShedNewestDropsWhenFull) {
-  Mailbox box(2, OverflowPolicy::kShedNewest, kind());
+TEST(MailboxRing, ShedNewestDropsWhenFull) {
+  Mailbox box(2, OverflowPolicy::kShedNewest);
   ASSERT_TRUE(box.send(data_msg(0), 1s));
   ASSERT_TRUE(box.send(data_msg(1), 1s));
   EXPECT_FALSE(box.send(data_msg(2), 1s));  // shed immediately, no blocking
@@ -467,8 +482,8 @@ TEST_P(MailboxBothKinds, ShedNewestDropsWhenFull) {
   EXPECT_EQ(box.size(), 2u);
 }
 
-TEST_P(MailboxBothKinds, CloseDrainsThenStops) {
-  Mailbox box(8, OverflowPolicy::kBlockAfterService, kind());
+TEST(MailboxRing, CloseDrainsThenStops) {
+  Mailbox box(8, OverflowPolicy::kBlockAfterService);
   ASSERT_TRUE(box.send(data_msg(0), 1s));
   ASSERT_TRUE(box.send(data_msg(1), 1s));
   box.close();
@@ -479,8 +494,8 @@ TEST_P(MailboxBothKinds, CloseDrainsThenStops) {
   EXPECT_FALSE(box.send(data_msg(2), 1s));
 }
 
-TEST_P(MailboxBothKinds, TrySendBatchTakesExactlyTheFittingPrefix) {
-  Mailbox box(8, OverflowPolicy::kBlockAfterService, kind());
+TEST(MailboxRing, TrySendBatchTakesExactlyTheFittingPrefix) {
+  Mailbox box(8, OverflowPolicy::kBlockAfterService);
   ASSERT_TRUE(box.send(data_msg(100), 1s));  // one slot already used
   Message msgs[12];
   for (int i = 0; i < 12; ++i) msgs[i] = data_msg(i);
@@ -497,8 +512,8 @@ TEST_P(MailboxBothKinds, TrySendBatchTakesExactlyTheFittingPrefix) {
   EXPECT_EQ(box.dropped(), 0u);  // rejected suffix is the caller's problem
 }
 
-TEST_P(MailboxBothKinds, DeferredDrainHoldsCapacityUntilRelease) {
-  Mailbox box(4, OverflowPolicy::kBlockAfterService, kind());
+TEST(MailboxRing, DeferredDrainHoldsCapacityUntilRelease) {
+  Mailbox box(4, OverflowPolicy::kBlockAfterService);
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(box.send(data_msg(i), 1s));
   std::vector<Message> batch;
   EXPECT_EQ(box.drain(batch, 4, /*release_now=*/false), 4u);
@@ -508,12 +523,6 @@ TEST_P(MailboxBothKinds, DeferredDrainHoldsCapacityUntilRelease) {
   box.release(3);
   EXPECT_EQ(box.size(), 1u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, MailboxBothKinds,
-                         ::testing::Values(MailboxKind::kMutex, MailboxKind::kRing),
-                         [](const ::testing::TestParamInfo<MailboxKind>& info) {
-                           return std::string(to_string(info.param));
-                         });
 
 // ---------------------------------------------------------------------------
 // Ring-specific stress: wraparound, the blocking fallback, spills, shedding
@@ -526,7 +535,7 @@ TEST(MailboxRingStress, MultiProducerWraparoundKeepsPerProducerFifo) {
   // occupancy below the physical slack, so nothing spills).
   constexpr int kProducers = 4;
   constexpr std::int64_t kPerProducer = 1500;
-  Mailbox box(8, OverflowPolicy::kBlockAfterService, MailboxKind::kRing);
+  Mailbox box(8, OverflowPolicy::kBlockAfterService);
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
@@ -558,7 +567,7 @@ TEST(MailboxRingStress, FullRingFallsBackToBlockingSendAndLosesNothing) {
   // time.  Nothing may be lost or duplicated.
   constexpr int kProducers = 3;
   constexpr std::int64_t kPerProducer = 400;
-  Mailbox box(2, OverflowPolicy::kBlockAfterService, MailboxKind::kRing);
+  Mailbox box(2, OverflowPolicy::kBlockAfterService);
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
@@ -582,7 +591,7 @@ TEST(MailboxRingStress, FullRingFallsBackToBlockingSendAndLosesNothing) {
 }
 
 TEST(MailboxRingStress, CloseWhileFullFailsBlockedSenderAndDrainsBacklog) {
-  Mailbox box(1, OverflowPolicy::kBlockAfterService, MailboxKind::kRing);
+  Mailbox box(1, OverflowPolicy::kBlockAfterService);
   ASSERT_TRUE(box.send(data_msg(0), 1s));
   std::atomic<bool> send_result{true};
   std::thread blocked([&] { send_result.store(box.send(data_msg(1), 30s)); });
@@ -601,7 +610,7 @@ TEST(MailboxRingStress, ShedAccountingBalancesUnderContention) {
   // — the ledger the scheduler's invariant report builds on.
   constexpr int kProducers = 4;
   constexpr std::int64_t kPerProducer = 2000;
-  Mailbox box(4, OverflowPolicy::kShedNewest, MailboxKind::kRing);
+  Mailbox box(4, OverflowPolicy::kShedNewest);
   std::atomic<std::int64_t> accepted{0};
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
@@ -643,7 +652,7 @@ TEST(MailboxRingStress, SpilledUnboundedTokensStayFifoWithLaterSends) {
   // Flood a ring whose physical slots (16 for capacity 2) cannot hold the
   // capacity-exempt burst: the overflow spills to the side queue, and once
   // spilled *every* later enqueue must follow it so per-producer FIFO holds.
-  Mailbox box(2, OverflowPolicy::kBlockAfterService, MailboxKind::kRing);
+  Mailbox box(2, OverflowPolicy::kBlockAfterService);
   constexpr std::int64_t kBurst = 40;  // > 16 physical slots
   for (std::int64_t i = 0; i < kBurst; ++i) box.send_unbounded(data_msg(i));
   EXPECT_GT(box.ring_spills(), 0u);
@@ -660,7 +669,7 @@ TEST(MailboxRingStress, SpilledUnboundedTokensStayFifoWithLaterSends) {
 }
 
 TEST(MailboxRingStress, SpillDrainReopensTheFastPath) {
-  Mailbox box(2, OverflowPolicy::kBlockAfterService, MailboxKind::kRing);
+  Mailbox box(2, OverflowPolicy::kBlockAfterService);
   for (std::int64_t i = 0; i < 40; ++i) box.send_unbounded(data_msg(i));
   const std::uint64_t spilled = box.ring_spills();
   EXPECT_GT(spilled, 0u);
