@@ -38,9 +38,8 @@ Mailbox::Mailbox(std::size_t capacity, OverflowPolicy policy)
 
 // ---------------------------------------------------------------------------
 // Producers claim a capacity credit (size_), then a physical slot; the 0→1
-// transition of the credit counter is the empty→non-empty edge.  The hook
-// is *captured* under the lock (so set_on_ready can swap it concurrently)
-// but *fired* outside it.
+// transition of the credit counter is the empty→non-empty edge, whose
+// producer fires the readiness hook after publishing.
 
 bool Mailbox::acquire_credit(std::size_t& depth_out) {
   std::size_t cur = size_.load(std::memory_order_relaxed);
@@ -145,12 +144,7 @@ void Mailbox::after_publish(bool edge) {
     not_empty_.notify_all();
   }
   if (edge) {
-    std::function<void()> hook;
-    {
-      std::lock_guard lock(mutex_);
-      hook = on_ready_;
-    }
-    fire(hook);
+    if (ReadyHook* hook = on_ready_.load(std::memory_order_acquire)) hook->on_ready();
   }
 }
 
@@ -318,11 +312,6 @@ void Mailbox::close() {
   }
   not_full_.notify_all();
   not_empty_.notify_all();
-}
-
-void Mailbox::set_on_ready(std::function<void()> on_ready) {
-  std::lock_guard lock(mutex_);
-  on_ready_ = std::move(on_ready);
 }
 
 }  // namespace ss::runtime

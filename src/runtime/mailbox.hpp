@@ -22,9 +22,10 @@
 // follow it until the consumer has drained the spill, which preserves
 // per-producer FIFO — the property the engine's token counting relies on
 // ("every channel's tokens arrive after that channel's data").  Blocking
-// (BAS), kShedNewest, close and on_ready are the slow path: a full mailbox
-// parks the sender on a condition variable, and that park is where
-// blocked-on-send telemetry is charged.
+// (BAS), kShedNewest and close are the slow path: a full mailbox parks the
+// sender on a condition variable, and that park is where blocked-on-send
+// telemetry is charged.  The empty→non-empty readiness edge is not: it
+// reads the hook pointer with one acquire load and calls it.
 //
 // The mailbox is MPSC: many producers, one consumer *at a time*.
 #pragma once
@@ -34,7 +35,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -116,15 +116,26 @@ class Mailbox {
   /// Wakes all waiters; send() starts failing, receive() drains then stops.
   void close();
 
-  /// Installs a readiness hook fired (outside the lock) whenever an enqueue
-  /// turns the mailbox from empty to non-empty.  The pooled scheduler uses
-  /// it to learn that the owning actor has work without parking a worker
-  /// on this mailbox's condition variable.  The installation is synchronized
-  /// with concurrent senders (the hook is read and written under the
-  /// mailbox lock), so it may be swapped while producers are live; an
-  /// enqueue concurrent with the swap fires either the old or the new
-  /// hook, never a torn one.  Pass nullptr to clear.
-  void set_on_ready(std::function<void()> on_ready);
+  /// Receiver of the readiness edge (set_on_ready).  Owned by the caller.
+  class ReadyHook {
+   public:
+    /// Called by the sender whose enqueue turned the mailbox from empty to
+    /// non-empty, after the message is published.
+    virtual void on_ready() = 0;
+
+   protected:
+    ~ReadyHook() = default;
+  };
+
+  /// Installs a readiness hook fired whenever an enqueue turns the mailbox
+  /// from empty to non-empty.  The pooled scheduler uses it to learn that
+  /// the owning actor has work without parking a worker on this mailbox's
+  /// condition variable.  The hook is one atomic pointer, so it may be
+  /// swapped while producers are live: an enqueue concurrent with the swap
+  /// fires either the old or the new hook, never a torn one.  The caller
+  /// keeps a hook alive as long as a send that may have read it can still
+  /// be running.  Pass nullptr to clear.
+  void set_on_ready(ReadyHook* hook) { on_ready_.store(hook, std::memory_order_release); }
 
   [[nodiscard]] std::size_t size() const {
     return size_.load(std::memory_order_acquire);
@@ -184,9 +195,6 @@ class Mailbox {
   };
 
   void release_slots(std::size_t n);
-  static void fire(std::function<void()>& hook) {
-    if (hook) hook();
-  }
   void bump_peak(std::size_t depth) {
     std::size_t cur = depth_peak_.load(std::memory_order_relaxed);
     while (depth > cur &&
@@ -217,8 +225,8 @@ class Mailbox {
   const std::size_t capacity_;
   const OverflowPolicy policy_;
 
-  /// Guards overflow_ + spilled_ transitions, closed_ writes, on_ready_,
-  /// and the condition variables.
+  /// Guards overflow_ + spilled_ transitions, closed_ writes and the
+  /// condition variables.
   mutable std::mutex mutex_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
@@ -254,7 +262,7 @@ class Mailbox {
   /// Consumer operator of this mailbox (set once at epoch build, before
   /// producers run; plain member, read from the blocking slow path only).
   OpIndex owner_op_ = kInvalidOp;
-  std::function<void()> on_ready_;  ///< empty→non-empty edge notification
+  std::atomic<ReadyHook*> on_ready_{nullptr};  ///< empty→non-empty edge notification
 };
 
 }  // namespace ss::runtime

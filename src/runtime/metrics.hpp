@@ -40,8 +40,10 @@ struct CounterSnapshot {
 /// RunStats and the metrics export (all zero under thread-per-actor).
 /// `pushes/local_pops/steals/discarded` are queue-hint accounting —
 /// internally consistent: pushes == local_pops + steals + discarded once
-/// the pool is quiescent; `parks/wakeups` count the idle protocol;
-/// `batches/batch_messages/max_batch` describe mailbox drain batching.
+/// the pool is quiescent, and every claimed hint runs one slice
+/// (local_pops + steals == slices); `parks/wakeups` count the idle
+/// protocol; `batches/batch_messages/max_batch` describe mailbox drain
+/// batching.
 struct SchedulerCounters {
   std::uint64_t pushes = 0;
   std::uint64_t local_pops = 0;
@@ -49,6 +51,7 @@ struct SchedulerCounters {
   std::uint64_t discarded = 0;  ///< hints still queued at shutdown
   std::uint64_t parks = 0;
   std::uint64_t wakeups = 0;
+  std::uint64_t slices = 0;  ///< actor slices run (sources' included)
   std::uint64_t batches = 0;
   std::uint64_t batch_messages = 0;
   std::uint64_t max_batch = 0;
@@ -67,6 +70,7 @@ struct SchedulerCounters {
     discarded += o.discarded;
     parks += o.parks;
     wakeups += o.wakeups;
+    slices += o.slices;
     batches += o.batches;
     batch_messages += o.batch_messages;
     max_batch = max_batch > o.max_batch ? max_batch : o.max_batch;

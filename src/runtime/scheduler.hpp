@@ -12,15 +12,18 @@
 //     operator) and the default.
 //   * PooledScheduler — multiplexes N actors onto K worker threads with
 //     work stealing.  Workers never park on a per-mailbox condition
-//     variable: each mailbox routes its empty→non-empty readiness hint
-//     (Mailbox::set_on_ready) to the per-worker deque of the worker that
-//     last ran the actor (warm cache); owners pop LIFO, idle workers steal
-//     FIFO, and a claimed actor runs one slice.
+//     variable: each mailbox's empty→non-empty edge (Mailbox::set_on_ready)
+//     marks the actor notified in its atomic state word and, on the idle →
+//     notified transition, pushes one readiness hint to the per-worker
+//     deque of the worker that last ran the actor (warm cache); owners pop
+//     LIFO, idle workers steal FIFO, and the worker that claims the hint
+//     runs one slice.
 //     Operator logic that parks its thread (timed-wait services, blocking
 //     sends under backpressure) wraps the park in a BlockingSection so the
 //     pool can lend the core to another worker meanwhile — K bounds the
-//     number of *runnable* workers, not the number of sleepers, which is
-//     what keeps wait-realized service times (clock.hpp) rate-faithful.
+//     number of *runnable* workers, not the number of sleepers (a stand-in
+//     parks as surplus once the section ends), which is what keeps
+//     wait-realized service times (clock.hpp) rate-faithful.
 //
 // Both policies run the same slice code, and the engine delivers messages
 // itself (try_send fast path, blocking send inside a BlockingSection), so
@@ -141,7 +144,9 @@ void flush_staged_output() noexcept;
 /// then releases the caller's worker slot so another worker can keep
 /// draining — the mechanism that makes K-worker pools throughput-
 /// equivalent to thread-per-actor on wait-bound workloads and that
-/// guarantees backpressure blocking can never deadlock the pool.
+/// guarantees backpressure blocking can never deadlock the pool.  On exit
+/// the caller counts as runnable again, and a worker beyond K parks at the
+/// top of its loop.
 class BlockingSection {
  public:
   BlockingSection() noexcept;

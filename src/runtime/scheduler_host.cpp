@@ -94,6 +94,13 @@ void apply_pinning(PinMode mode, std::size_t self) {
 }
 }  // namespace
 
+/// Actor state word bits.  idle (0) → notified: the readiness edge, which
+/// pushes the one hint; notified → running: the claim; running → idle or
+/// notified: the slice end; running → done: completion.
+constexpr std::uint32_t kNotified = 1;
+constexpr std::uint32_t kRunning = 2;
+constexpr std::uint32_t kDone = 4;
+
 struct SchedulerHost::Tenant {
   EngineCore* core = nullptr;
   std::string label;
@@ -102,22 +109,28 @@ struct SchedulerHost::Tenant {
   std::uint64_t stride = kStrideScale;
   std::atomic<std::uint64_t> pass{0};
 
-  struct ActorSlot {
-    std::atomic<bool> running{false};  ///< claim: one worker per actor
-    std::atomic<bool> done{false};
+  /// One actor's readiness, and the hook its mailbox fires on the
+  /// empty→non-empty edge.  One cache line per actor: producers of
+  /// different actors never share the line they RMW.
+  struct alignas(64) ActorSlot final : Mailbox::ReadyHook {
+    SchedulerHost* host = nullptr;
+    Tenant* tenant = nullptr;
+    std::size_t id = 0;
+    std::atomic<std::uint32_t> state{0};          ///< kNotified | kRunning | kDone
+    std::atomic<std::size_t> last_worker{0};  ///< affinity: who ran it last
+    void on_ready() override { host->notify(*tenant, id); }
   };
 
   std::unique_ptr<WorkStealingQueues> queues;  ///< per-tenant ready hints
   std::vector<ActorSlot> slots;
-  std::vector<std::atomic<std::size_t>> last_worker;  ///< affinity per actor
 
   std::size_t remaining = 0;  ///< actors not yet done (host mu_)
-  std::atomic<bool> detached{false};
 
   /// Drain-batch telemetry.  One shard per tenant (not per worker): any
   /// worker index maps onto the tenant's queues by modulo, so the
   /// single-writer-per-shard assumption of the old per-worker layout does
   /// not survive multi-tenancy.  fetch_add + CAS-max keep it exact.
+  std::atomic<std::uint64_t> slices{0};
   std::atomic<std::uint64_t> batches{0};
   std::atomic<std::uint64_t> batch_messages{0};
   std::atomic<std::uint64_t> max_batch{0};
@@ -134,10 +147,14 @@ SchedulerHost::SchedulerHost(int workers, int batch, PinMode pin)
 }
 
 SchedulerHost::~SchedulerHost() {
-  shutdown_.store(true, std::memory_order_release);
+  shutdown_.store(true);
   {
     std::lock_guard lock(park_mu_);
     park_cv_.notify_all();
+  }
+  {
+    std::lock_guard lock(surplus_mu_);
+    surplus_cv_.notify_all();
   }
   std::vector<std::thread> threads;
   {
@@ -169,14 +186,16 @@ SchedulerHost::TenantId SchedulerHost::attach(EngineCore& core, std::string labe
   // index exceeds it fold in by modulo (work_stealing.hpp).
   t->queues = std::make_unique<WorkStealingQueues>(static_cast<std::size_t>(target_) + n);
   t->slots = std::vector<Tenant::ActorSlot>(n);
-  t->last_worker = std::vector<std::atomic<std::size_t>>(n);
   // A newcomer starts at the host's pass clock: it competes fairly from
   // now on instead of replaying credit for the time before it existed.
   t->pass.store(pass_clock_.load(std::memory_order_relaxed), std::memory_order_relaxed);
   for (std::size_t id = 0; id < n; ++id) {
-    t->last_worker[id].store(id % static_cast<std::size_t>(target_),
-                             std::memory_order_relaxed);
-    core.mailbox(id).set_on_ready([this, t, id] { enqueue(t, id); });
+    Tenant::ActorSlot& slot = t->slots[id];
+    slot.host = this;
+    slot.tenant = t.get();
+    slot.id = id;
+    slot.last_worker.store(id % static_cast<std::size_t>(target_), std::memory_order_relaxed);
+    core.mailbox(id).set_on_ready(&slot);
   }
   {
     std::unique_lock lock(tenants_mu_);
@@ -189,7 +208,7 @@ SchedulerHost::TenantId SchedulerHost::attach(EngineCore& core, std::string labe
     ensure_started();
   }
   for (std::size_t id = 0; id < n; ++id) {
-    if (core.is_source(id)) enqueue(t, id);
+    if (core.is_source(id)) notify(*t, id);
   }
   return t;
 }
@@ -200,28 +219,19 @@ void SchedulerHost::wait_drained(const TenantId& tenant) {
 }
 
 void SchedulerHost::detach(const TenantId& tenant) {
-  std::size_t actors = 0;
   {
     std::unique_lock lock(tenants_mu_);
     auto it = std::find(tenants_.begin(), tenants_.end(), tenant);
     if (it == tenants_.end()) return;
     tenants_.erase(it);
-    tenant->detached.store(true, std::memory_order_release);
-    actors = tenant->slots.size();
-    // Residual ready-hints of the leaving tenant are stale (every actor is
-    // done); deduct them from the park predicate so workers don't spin
-    // hunting for work that no longer exists.  They stay in the tenant's
-    // deques and are reported as `discarded`, exactly like the old pool's
-    // shutdown path.
-    const std::size_t residual = tenant->queues->pending();
-    std::size_t pending = pending_.load(std::memory_order_relaxed);
-    while (pending > 0 &&
-           !pending_.compare_exchange_weak(pending, pending - std::min(pending, residual),
-                                           std::memory_order_acq_rel)) {
-    }
+  }
+  // The hooks point into the tenant, which may die after this returns; a
+  // drained tenant's actors send nothing more, so no edge is in flight.
+  for (std::size_t id = 0; id < tenant->slots.size(); ++id) {
+    tenant->core->mailbox(id).set_on_ready(nullptr);
   }
   std::lock_guard lock(mu_);
-  max_threads_ -= static_cast<int>(actors);
+  max_threads_ -= static_cast<int>(tenant->slots.size());
 }
 
 SchedulerCounters SchedulerHost::tenant_counters(const TenantId& tenant) const {
@@ -233,6 +243,7 @@ SchedulerCounters SchedulerHost::tenant_counters(const TenantId& tenant) const {
   c.discarded = q.discarded;
   c.parks = parks_.load(std::memory_order_relaxed);
   c.wakeups = wakeups_.load(std::memory_order_relaxed);
+  c.slices = tenant->slices.load(std::memory_order_relaxed);
   c.batches = tenant->batches.load(std::memory_order_relaxed);
   c.batch_messages = tenant->batch_messages.load(std::memory_order_relaxed);
   c.max_batch = tenant->max_batch.load(std::memory_order_relaxed);
@@ -240,18 +251,13 @@ SchedulerCounters SchedulerHost::tenant_counters(const TenantId& tenant) const {
 }
 
 void SchedulerHost::blocking_begin() {
-  std::lock_guard lock(mu_);
-  ++blocked_;
-  if (pending_.load(std::memory_order_acquire) > 0 &&
-      idle_.load(std::memory_order_acquire) == 0) {
-    maybe_spawn_locked();
-  }
+  blocked_.fetch_add(1);
+  // Stand a worker in only when work is waiting that no idle worker will
+  // take; otherwise the next hint compensates (wake_or_spawn).
+  if (pending_.load() > 0 && idle_.load() == 0) compensate();
 }
 
-void SchedulerHost::blocking_end() {
-  std::lock_guard lock(mu_);
-  --blocked_;
-}
+void SchedulerHost::blocking_end() { blocked_.fetch_sub(1); }
 
 void SchedulerHost::ensure_started() {
   if (started_) return;
@@ -259,53 +265,83 @@ void SchedulerHost::ensure_started() {
   for (int i = 0; i < target_; ++i) spawn_locked();
 }
 
-/// Compensation: keep `target_` runnable (non-blocked) workers as long as
-/// ready work exists, up to the cap.
-void SchedulerHost::maybe_spawn_locked() {
-  if (spawned_ - blocked_ < target_ && spawned_ < max_threads_) spawn_locked();
+void SchedulerHost::compensate() {
+  if (runnable() >= target_) return;
+  {
+    // A surplus worker leaves only under surplus_mu_, so a count read here
+    // has a worker behind it that will re-check runnable() < K: waking one
+    // too many costs a spurious wakeup, never an extra runnable worker.
+    std::lock_guard lock(surplus_mu_);
+    if (surplus_.load() > 0) {
+      surplus_cv_.notify_one();
+      return;
+    }
+  }
+  std::lock_guard lock(mu_);
+  if (runnable() < target_ && spawned_.load() < max_threads_) spawn_locked();
 }
 
 void SchedulerHost::spawn_locked() {
-  if (shutdown_.load(std::memory_order_acquire)) return;
-  const std::size_t self = static_cast<std::size_t>(spawned_++);
+  if (shutdown_.load()) return;
+  const auto self = static_cast<std::size_t>(spawned_.fetch_add(1));
   threads_.emplace_back([this, self] { worker_loop(self); });
 }
 
-void SchedulerHost::enqueue(const TenantId& t, std::size_t id) {
-  {
-    std::shared_lock lock(tenants_mu_);
-    if (t->detached.load(std::memory_order_relaxed)) return;
-    if (t->queues->pending() == 0) {
-      // Idle → ready edge: clamp the tenant's pass up to the host clock so
-      // the credit it "saved" while idle cannot buy a worker monopoly now.
-      std::uint64_t clock = pass_clock_.load(std::memory_order_relaxed);
-      std::uint64_t pass = t->pass.load(std::memory_order_relaxed);
-      while (pass < clock &&
-             !t->pass.compare_exchange_weak(pass, clock, std::memory_order_relaxed)) {
-      }
-    }
-    // Route the hint to the actor's last worker (warm cache); any worker
-    // can steal it, so a busy preferred worker never delays the actor.
-    t->queues->push(id, t->last_worker[id].load(std::memory_order_relaxed));
-    pending_.fetch_add(1, std::memory_order_release);
+bool SchedulerHost::park_if_surplus() {
+  int surplus = surplus_.load();
+  do {
+    if (spawned_.load() - blocked_.load() - surplus <= target_) return false;
+  } while (!surplus_.compare_exchange_weak(surplus, surplus + 1));
+  // An idle worker woken for a hint may be the one that parks here: pass
+  // the wakeup on, so the hint is not left to workers that sleep.
+  if (pending_.load() > 0 && idle_.load() > 0) {
+    std::lock_guard lock(park_mu_);
+    park_cv_.notify_one();
   }
+  std::unique_lock lock(surplus_mu_);
+  {
+    trace::Span span("surplus", "sched");
+    surplus_cv_.wait(lock, [&] { return shutdown_.load() || runnable() < target_; });
+  }
+  // Under the lock: a second waiter woken with us re-reads runnable() and
+  // stays parked if our leaving already refilled K.
+  surplus_.fetch_sub(1);
+  return true;
+}
+
+void SchedulerHost::notify(Tenant& t, std::size_t id) {
+  if (t.slots[id].state.fetch_or(kNotified, std::memory_order_acq_rel) == 0) push_hint(t, id);
+}
+
+void SchedulerHost::push_hint(Tenant& t, std::size_t id) {
+  if (t.queues->pending() == 0) {
+    // Idle → ready edge: clamp the tenant's pass up to the host clock so
+    // the credit it "saved" while idle cannot buy a worker monopoly now.
+    std::uint64_t clock = pass_clock_.load(std::memory_order_relaxed);
+    std::uint64_t pass = t.pass.load(std::memory_order_relaxed);
+    while (pass < clock &&
+           !t.pass.compare_exchange_weak(pass, clock, std::memory_order_relaxed)) {
+    }
+  }
+  // Route the hint to the actor's last worker (warm cache); any worker can
+  // steal it, so a busy preferred worker never delays the actor.
+  t.queues->push(id, t.slots[id].last_worker.load(std::memory_order_relaxed));
+  pending_.fetch_add(1);
   wake_or_spawn();
 }
 
 void SchedulerHost::wake_or_spawn() {
-  // Check-then-notify is race-free against the park path: a worker only
-  // parks after re-evaluating `pending_ > 0` under park_mu_, and the
-  // fetch_add in enqueue() is ordered before this load.
-  if (idle_.load(std::memory_order_acquire) > 0) {
+  // Race-free against the idle park: a worker only parks after
+  // re-evaluating `pending_ > 0` under park_mu_ (see pending_).
+  if (idle_.load() > 0) {
     std::lock_guard lock(park_mu_);
     park_cv_.notify_one();
     return;
   }
-  // Nobody parked: all workers are busy or blocked.  Compensate if the
-  // runnable budget has room (workers inside a BlockingSection don't
-  // count against K).
-  std::lock_guard lock(mu_);
-  maybe_spawn_locked();
+  // Nobody idle: all workers are busy, blocked or surplus.  Compensate if
+  // fewer than K are runnable (workers inside a BlockingSection don't count
+  // against K).
+  compensate();
 }
 
 void SchedulerHost::worker_loop(std::size_t self) {
@@ -316,26 +352,22 @@ void SchedulerHost::worker_loop(std::size_t self) {
   // placement rather than landing on an arbitrary core.
   if (pin_ != PinMode::kNone) apply_pinning(pin_, self);
   for (;;) {
-    if (shutdown_.load(std::memory_order_acquire)) break;
+    if (shutdown_.load()) break;
+    if (park_if_surplus()) continue;
     if (run_one(self)) continue;
-    // Global miss: park until the next enqueue (or shutdown).  The
-    // predicate re-check under park_mu_ closes the lost-wakeup window
-    // with wake_or_spawn().
+    // Global miss: park until the next hint (or shutdown).  The predicate
+    // re-check under park_mu_ closes the lost-wakeup window with
+    // wake_or_spawn().
     std::unique_lock lock(park_mu_);
-    idle_.fetch_add(1, std::memory_order_release);
-    const auto runnable = [&] {
-      return shutdown_.load(std::memory_order_acquire) ||
-             pending_.load(std::memory_order_acquire) > 0;
-    };
-    if (!runnable()) {
+    idle_.fetch_add(1);
+    const auto has_work = [&] { return shutdown_.load() || pending_.load() > 0; };
+    if (!has_work()) {
       parks_.fetch_add(1, std::memory_order_relaxed);
       trace::Span span("park", "sched");
-      park_cv_.wait(lock, runnable);
-      if (!shutdown_.load(std::memory_order_acquire)) {
-        wakeups_.fetch_add(1, std::memory_order_relaxed);
-      }
+      park_cv_.wait(lock, has_work);
+      if (!shutdown_.load()) wakeups_.fetch_add(1, std::memory_order_relaxed);
     }
-    idle_.fetch_sub(1, std::memory_order_release);
+    idle_.fetch_sub(1);
   }
   tls_host = nullptr;
 }
@@ -368,7 +400,7 @@ bool SchedulerHost::run_one(std::size_t self) {
       }
     }
     if (chosen) {
-      pending_.fetch_sub(1, std::memory_order_release);
+      pending_.fetch_sub(1);
       const std::uint64_t next =
           chosen->pass.fetch_add(chosen->stride, std::memory_order_relaxed) +
           chosen->stride;
@@ -379,16 +411,18 @@ bool SchedulerHost::run_one(std::size_t self) {
     }
   }
   if (!chosen) return false;
-  run_actor_slot(chosen, self, id);
+  run_actor_slot(*chosen, self, id);
   return true;
 }
 
-void SchedulerHost::run_actor_slot(const TenantId& t, std::size_t self, std::size_t id) {
-  Tenant::ActorSlot& slot = t->slots[id];
-  if (slot.done.load(std::memory_order_acquire)) return;
-  if (slot.running.exchange(true, std::memory_order_acq_rel)) return;  // claimed elsewhere
-  if (slot.done.load(std::memory_order_relaxed)) {  // finished before our claim
-    slot.running.store(false, std::memory_order_release);
+void SchedulerHost::run_actor_slot(Tenant& t, std::size_t self, std::size_t id) {
+  Tenant::ActorSlot& slot = t.slots[id];
+  // Every hint was pushed on an idle → notified transition and is claimed
+  // once, so the actor is notified here; anything else would be a second
+  // hint, which must not run a second slice (the slices counter shows it).
+  std::uint32_t expected = kNotified;
+  if (!slot.state.compare_exchange_strong(expected, kRunning, std::memory_order_acq_rel,
+                                          std::memory_order_relaxed)) {
     return;
   }
   // Tag every event this slot records (spans, steals, operator logic) with
@@ -396,35 +430,41 @@ void SchedulerHost::run_actor_slot(const TenantId& t, std::size_t self, std::siz
   struct TenantTagGuard {
     ~TenantTagGuard() { trace::set_thread_tenant(nullptr); }
   } tag_guard;
-  trace::set_thread_tenant(t->trace_label);
-  EngineCore* core = t->core;
-  t->last_worker[id].store(self, std::memory_order_relaxed);
+  trace::set_thread_tenant(t.trace_label);
+  EngineCore* core = t.core;
+  slot.last_worker.store(self, std::memory_order_relaxed);
+  t.slices.fetch_add(1, std::memory_order_relaxed);
   const SliceOutcome slice = core->run_slice(id, batch_);
   if (slice.messages > 0) {
-    t->batches.fetch_add(1, std::memory_order_relaxed);
-    t->batch_messages.fetch_add(slice.messages, std::memory_order_relaxed);
-    std::uint64_t prev = t->max_batch.load(std::memory_order_relaxed);
+    t.batches.fetch_add(1, std::memory_order_relaxed);
+    t.batch_messages.fetch_add(slice.messages, std::memory_order_relaxed);
+    std::uint64_t prev = t.max_batch.load(std::memory_order_relaxed);
     while (prev < slice.messages &&
-           !t->max_batch.compare_exchange_weak(prev, slice.messages,
-                                               std::memory_order_relaxed)) {
+           !t.max_batch.compare_exchange_weak(prev, slice.messages,
+                                              std::memory_order_relaxed)) {
     }
   }
   if (slice.done) {
-    complete(*t, id);
+    complete(t, id);
     return;
   }
-  const bool requeue = core->is_source(id);  // sources stay ready until exhausted
-  slot.running.store(false, std::memory_order_release);
-  // A message that arrived during the slice fired its readiness hint while
-  // we still held the claim (the hint was discarded): re-check so nothing
-  // is stranded.
-  if (requeue || core->mailbox(id).size() > 0) enqueue(t, id);
+  // Sources stay ready until exhausted; an actor with messages left stays
+  // ready too.  Otherwise go idle — unless a notify arrived during the
+  // slice (running|notified), whose edge found us running and pushed
+  // nothing.  Every transition is a read-modify-write of the one word, so
+  // the producer's notify and this release cannot both miss each other.
+  expected = kRunning;
+  if (!core->is_source(id) && core->mailbox(id).size() == 0 &&
+      slot.state.compare_exchange_strong(expected, 0, std::memory_order_acq_rel,
+                                         std::memory_order_relaxed)) {
+    return;
+  }
+  slot.state.store(kNotified, std::memory_order_release);
+  push_hint(t, id);
 }
 
 void SchedulerHost::complete(Tenant& t, std::size_t id) {
-  Tenant::ActorSlot& slot = t.slots[id];
-  slot.done.store(true, std::memory_order_release);
-  slot.running.store(false, std::memory_order_release);
+  t.slots[id].state.store(kDone, std::memory_order_release);
   t.core->actor_done(id);
   bool drained = false;
   {

@@ -15,14 +15,6 @@ void WorkStealingQueues::push(std::size_t item, std::size_t preferred) {
     ++q.pushes;  // under q.mu: no shared counter line in the hot path
   }
   pending_.fetch_add(1, std::memory_order_release);
-  // Wake a parked worker.  The check-then-notify is race-free: a worker
-  // only parks after re-evaluating `pending_ > 0` under park_mu_, and our
-  // fetch_add above is ordered before this load, so either the worker sees
-  // the item and stays awake or it registered as idle and we notify it.
-  if (idle_.load(std::memory_order_acquire) > 0) {
-    std::lock_guard lock(park_mu_);
-    park_cv_.notify_one();
-  }
 }
 
 bool WorkStealingQueues::pop_local(std::size_t self, std::size_t& out) {
@@ -62,40 +54,8 @@ bool WorkStealingQueues::try_acquire(std::size_t self, std::size_t& out) {
   return false;
 }
 
-bool WorkStealingQueues::acquire(std::size_t self, std::size_t& out) {
-  for (;;) {
-    if (shutdown_.load(std::memory_order_acquire)) return false;
-    if (try_acquire(self, out)) return true;
-    // Steal-miss: park until the next push (or shutdown).  The predicate
-    // re-check under park_mu_ closes the lost-wakeup window with push().
-    std::unique_lock lock(park_mu_);
-    idle_.fetch_add(1, std::memory_order_release);
-    const auto runnable = [&] {
-      return shutdown_.load(std::memory_order_acquire) ||
-             pending_.load(std::memory_order_acquire) > 0;
-    };
-    if (!runnable()) {
-      parks_.fetch_add(1, std::memory_order_relaxed);
-      trace::Span span("park", "sched");
-      park_cv_.wait(lock, runnable);
-      if (!shutdown_.load(std::memory_order_acquire)) {
-        wakeups_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    idle_.fetch_sub(1, std::memory_order_release);
-  }
-}
-
-void WorkStealingQueues::shutdown() {
-  shutdown_.store(true, std::memory_order_release);
-  std::lock_guard lock(park_mu_);
-  park_cv_.notify_all();
-}
-
 WorkStealingCounters WorkStealingQueues::counters() const {
   WorkStealingCounters c;
-  c.parks = parks_.load(std::memory_order_relaxed);
-  c.wakeups = wakeups_.load(std::memory_order_relaxed);
   for (const Queue& q : queues_) {
     std::lock_guard lock(q.mu);
     c.pushes += q.pushes;

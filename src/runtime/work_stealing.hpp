@@ -11,14 +11,12 @@
 //
 // Each deque has its own mutex: contention is spread over W locks instead
 // of the single shared ready-queue lock this replaces (the hop bottleneck
-// called out in ROADMAP).  Parking is centralized: a worker that misses on
-// its own deque and every steal target parks on one condition variable and
-// is woken by the next push — the steal-miss/wakeup protocol the unit
-// tests in tests/work_stealing_test.cpp pin down.
+// called out in ROADMAP).  The queues never block: a worker that misses on
+// its own deque and every steal target parks in its scheduler
+// (SchedulerHost), which owns the park/wake protocol.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -27,16 +25,13 @@
 
 namespace ss::runtime {
 
-/// Lifetime counters of the hint queues (telemetry; relaxed, so
-/// approximate under concurrency and exact once the pool is quiescent).
-/// Invariant after shutdown: pushes == local_pops + steals + discarded.
+/// Lifetime counters of the hint queues (telemetry; exact once the pool is
+/// quiescent).  Invariant then: pushes == local_pops + steals + discarded.
 struct WorkStealingCounters {
   std::uint64_t pushes = 0;
   std::uint64_t local_pops = 0;
   std::uint64_t steals = 0;
-  std::uint64_t discarded = 0;  ///< hints still queued at shutdown
-  std::uint64_t parks = 0;      ///< times a worker went idle in acquire()
-  std::uint64_t wakeups = 0;    ///< times a parked worker resumed with work
+  std::uint64_t discarded = 0;  ///< hints still queued
 };
 
 class WorkStealingQueues {
@@ -48,9 +43,9 @@ class WorkStealingQueues {
   WorkStealingQueues(const WorkStealingQueues&) = delete;
   WorkStealingQueues& operator=(const WorkStealingQueues&) = delete;
 
-  /// Enqueues `item` at the back of queue `preferred % num_queues()` and
-  /// wakes one parked worker if any.  Callable from any thread, including
-  /// non-workers (mailbox readiness hooks).
+  /// Enqueues `item` at the back of queue `preferred % num_queues()`.
+  /// Callable from any thread, including non-workers (mailbox readiness
+  /// hooks).
   void push(std::size_t item, std::size_t preferred);
 
   /// Non-blocking claim for worker `self`: pops the back of the own deque
@@ -59,23 +54,10 @@ class WorkStealingQueues {
   /// is empty right now.
   bool try_acquire(std::size_t self, std::size_t& out);
 
-  /// Blocking claim: try_acquire, then park until a push arrives or
-  /// shutdown() is called.  Returns false only on shutdown — remaining
-  /// items are considered stale and are discarded with the pool.
-  bool acquire(std::size_t self, std::size_t& out);
-
-  /// Wakes every parked worker; acquire() starts returning false.
-  void shutdown();
-
   /// Items currently enqueued across all deques (approximate under
   /// concurrency, exact when quiescent).
   [[nodiscard]] std::size_t pending() const {
     return pending_.load(std::memory_order_acquire);
-  }
-
-  /// Workers currently parked inside acquire().
-  [[nodiscard]] std::size_t idle() const {
-    return idle_.load(std::memory_order_acquire);
   }
 
   [[nodiscard]] std::size_t num_queues() const { return queues_.size(); }
@@ -104,15 +86,8 @@ class WorkStealingQueues {
 
   std::vector<Queue> queues_;
   /// pending_ is touched by every push and every claim; keep it off the
-  /// park-path lines below (same false-sharing argument as Queue).
+  /// queues' lines (same false-sharing argument as Queue).
   alignas(64) std::atomic<std::size_t> pending_{0};
-  alignas(64) std::atomic<std::size_t> idle_{0};
-  std::atomic<bool> shutdown_{false};
-  std::mutex park_mu_;
-  std::condition_variable park_cv_;
-  // park-path telemetry (relaxed; the park path is already slow)
-  std::atomic<std::uint64_t> parks_{0};
-  std::atomic<std::uint64_t> wakeups_{0};
   // `discarded` is not a counter: counters() sums the items still queued,
   // which is exact precisely when it matters (after the pool quiesced).
 };

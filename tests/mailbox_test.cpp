@@ -353,33 +353,39 @@ TEST(MailboxDrain, ConcurrentProducersLoseNothing) {
   EXPECT_EQ(box.dropped(), 0u);
 }
 
+/// Counts the readiness edges a mailbox fires (set_on_ready).
+struct CountingHook final : Mailbox::ReadyHook {
+  std::atomic<int> fires{0};
+  void on_ready() override { fires.fetch_add(1, std::memory_order_relaxed); }
+};
+
 TEST(Mailbox, OnReadyFiresOnlyOnEmptyToNonEmptyEdge) {
   Mailbox box(4);
-  int readies = 0;
-  box.set_on_ready([&] { ++readies; });
+  CountingHook hook;
+  box.set_on_ready(&hook);
   ASSERT_TRUE(box.send(data_msg(1), 1s));  // empty -> non-empty: fires
   ASSERT_TRUE(box.try_send(data_msg(2)));  // non-empty: silent
   box.send_unbounded(Message::shutdown());
-  EXPECT_EQ(readies, 1);
+  EXPECT_EQ(hook.fires.load(), 1);
   Message out;
   ASSERT_TRUE(box.receive(out));
   ASSERT_TRUE(box.receive(out));
   ASSERT_TRUE(box.receive(out));  // drained again
   ASSERT_TRUE(box.try_send(data_msg(3)));  // new edge: fires again
-  EXPECT_EQ(readies, 2);
+  EXPECT_EQ(hook.fires.load(), 2);
 }
 
 TEST(Mailbox, OnReadyFiresForEveryEnqueuePath) {
   Mailbox box(4);
-  int readies = 0;
-  box.set_on_ready([&] { ++readies; });
+  CountingHook hook;
+  box.set_on_ready(&hook);
   Message out;
   ASSERT_TRUE(box.send(data_msg(1), 1s));
   ASSERT_TRUE(box.receive(out));
   ASSERT_TRUE(box.try_send(data_msg(2)));
   ASSERT_TRUE(box.receive(out));
   box.send_unbounded(Message::shutdown());
-  EXPECT_EQ(readies, 3);
+  EXPECT_EQ(hook.fires.load(), 3);
 }
 
 TEST(Mailbox, OnReadyEdgeFiresExactlyOnceAcrossQueueSwap) {
@@ -387,18 +393,18 @@ TEST(Mailbox, OnReadyEdgeFiresExactlyOnceAcrossQueueSwap) {
   // outbox; a new send must NOT look like an empty->non-empty edge (the
   // box never emptied), and a full drain must re-arm the edge.
   Mailbox box(8);
-  int readies = 0;
-  box.set_on_ready([&] { ++readies; });
+  CountingHook hook;
+  box.set_on_ready(&hook);
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(box.send(data_msg(i), 1s));
-  EXPECT_EQ(readies, 1);
+  EXPECT_EQ(hook.fires.load(), 1);
   std::vector<Message> batch;
   ASSERT_EQ(box.drain(batch, 1), 1u);  // 2 left, now held in the outbox
   ASSERT_TRUE(box.try_send(data_msg(3)));  // inbox empty but box is not
-  EXPECT_EQ(readies, 1);
+  EXPECT_EQ(hook.fires.load(), 1);
   batch.clear();
   ASSERT_EQ(box.drain(batch, 64), 3u);  // fully drained: edge re-armed
   ASSERT_TRUE(box.try_send(data_msg(4)));
-  EXPECT_EQ(readies, 2);
+  EXPECT_EQ(hook.fires.load(), 2);
 }
 
 TEST(Mailbox, SetOnReadyIsSafeWhileProducersAreLive) {
@@ -406,8 +412,8 @@ TEST(Mailbox, SetOnReadyIsSafeWhileProducersAreLive) {
   // running; swapping the hook mid-stream must never tear (the TSAN CI
   // job runs this) and every edge must land on whichever hook is current.
   Mailbox box(4096);
-  std::atomic<int> a_fires{0};
-  std::atomic<int> b_fires{0};
+  CountingHook a;
+  CountingHook b;
   std::atomic<bool> stop{false};
   std::thread producer([&] {
     std::int64_t id = 0;
@@ -418,8 +424,8 @@ TEST(Mailbox, SetOnReadyIsSafeWhileProducersAreLive) {
     }
   });
   for (int i = 0; i < 20000; ++i) {
-    box.set_on_ready([&a_fires] { a_fires.fetch_add(1, std::memory_order_relaxed); });
-    box.set_on_ready([&b_fires] { b_fires.fetch_add(1, std::memory_order_relaxed); });
+    box.set_on_ready(&a);
+    box.set_on_ready(&b);
   }
   stop.store(true, std::memory_order_release);
   producer.join();
@@ -428,9 +434,9 @@ TEST(Mailbox, SetOnReadyIsSafeWhileProducersAreLive) {
   Message out;
   while (box.try_receive(out)) {
   }
-  const int before = b_fires.load();
+  const int before = b.fires.load();
   box.send_unbounded(data_msg(-1));
-  EXPECT_EQ(b_fires.load(), before + 1);
+  EXPECT_EQ(b.fires.load(), before + 1);
   EXPECT_EQ(box.dropped(), 0u);
 }
 

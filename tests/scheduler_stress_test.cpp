@@ -1,15 +1,22 @@
 // Randomized stress tests of the work-stealing pooled scheduler: 25
 // Algorithm-5 topology shapes (fixed seeds) drained to completion on 2/4/8
-// workers with exact tuple accounting, Table-1 throughput parity against
-// the thread-per-actor backend, and a smaller StressTsan.* subset that the
-// CI sanitizer job runs under ThreadSanitizer.
+// workers with exact tuple accounting, many short drains of a 4-way
+// fan-in with tiny mailboxes against a stall watchdog (the readiness
+// protocol's hint hand-off), Table-1 throughput parity against the
+// thread-per-actor backend, and smaller StressTsan.* subsets that the CI
+// sanitizer job runs under ThreadSanitizer.
 #include "runtime/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
 #include <string>
+#include <thread>
 
 #include "gen/random_topology.hpp"
 #include "gen/rng.hpp"
@@ -98,6 +105,92 @@ void drain_and_check(std::uint64_t seed, int workers, std::int64_t items,
   }
 }
 
+/// fanin_pool's shape: src → split → four branches (0.25 each) → merge
+/// (two replicas) → sink, all near-zero service.
+Topology fanin_topology() {
+  Topology::Builder b;
+  const OpIndex src = b.add_operator("src", 1e-6);
+  const OpIndex split = b.add_operator("split", 1e-6);
+  const OpIndex merge = b.add_operator("merge", 1e-6);
+  const OpIndex sink = b.add_operator("sink", 1e-6);
+  b.add_edge(src, split);
+  for (int i = 0; i < 4; ++i) {
+    const OpIndex branch = b.add_operator("branch" + std::to_string(i), 1e-6);
+    b.add_edge(split, branch, 0.25);
+    b.add_edge(branch, merge);
+  }
+  b.add_edge(merge, sink);
+  return b.build();
+}
+
+/// Aborts the test binary when a drain outlives `limit`: a lost readiness
+/// hint stalls the graph for good, and join() would wait for it forever.
+class DrainWatchdog {
+ public:
+  DrainWatchdog(std::chrono::seconds limit, std::string what)
+      : what_(std::move(what)), thread_([this, limit] {
+          std::unique_lock lock(mu_);
+          if (!cv_.wait_for(lock, limit, [this] { return done_; })) {
+            std::fprintf(stderr, "%s: drain still running after %lld s: stalled\n",
+                         what_.c_str(), static_cast<long long>(limit.count()));
+            std::abort();
+          }
+        }) {}
+  ~DrainWatchdog() {
+    {
+      std::lock_guard lock(mu_);
+      done_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+  DrainWatchdog(const DrainWatchdog&) = delete;
+  DrainWatchdog& operator=(const DrainWatchdog&) = delete;
+
+ private:
+  std::string what_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;  ///< last: starts once the members above exist
+};
+
+/// `drains` short drains of the fan-in shape on 2/4/8 workers in turn, each
+/// under the watchdog's deadline and with exact accounting at every
+/// operator.
+void fanin_drains(int drains, std::int64_t items, std::size_t mailbox_capacity) {
+  constexpr int kWorkerCycle[] = {2, 4, 8};
+  constexpr std::chrono::seconds kDeadline{60};
+  const Topology t = fanin_topology();
+  Deployment d;
+  d.replication.replicas.assign(t.num_operators(), 1);
+  d.replication.replicas[2] = 2;  // merge
+  for (int i = 0; i < drains; ++i) {
+    const int workers = kWorkerCycle[i % 3];
+    const std::string ctx = "fan-in drain " + std::to_string(i) + ", workers " +
+                            std::to_string(workers);
+    Engine engine(t, d, burst_factory(items), pooled_config(workers, mailbox_capacity));
+    RunStats stats;
+    {
+      const DrainWatchdog watchdog(kDeadline, ctx);
+      stats = engine.run_until_complete(2 * kDeadline);
+    }
+    EXPECT_EQ(stats.dropped, 0u) << ctx;
+    EXPECT_EQ(stats.ops[0].processed, static_cast<std::uint64_t>(items)) << ctx;
+    EXPECT_EQ(stats.ops[3].processed, static_cast<std::uint64_t>(items)) << ctx << ": sink";
+    for (OpIndex op = 0; op < t.num_operators(); ++op) {
+      EXPECT_EQ(stats.ops[op].emitted, stats.ops[op].processed) << ctx << ", op " << op;
+    }
+  }
+}
+
+TEST(SchedulerStress, FaninReadinessDrainsFinishOnTime) {
+  // Mailboxes of two: nearly every send blocks, so workers enter and leave
+  // BlockingSections (compensation, surplus parks) while readiness edges
+  // race every slice end.
+  fanin_drains(/*drains=*/60, /*items=*/2000, /*mailbox_capacity=*/2);
+}
+
 TEST(SchedulerStress, TwentyFiveRandomTopologiesDrainExactly) {
   // Fixed seeds, worker counts cycling 2/4/8: the full randomized sweep.
   constexpr int kWorkerCycle[] = {2, 4, 8};
@@ -157,6 +250,10 @@ TEST(SchedulerStress, SchedulerCountersAreConsistentAfterADrain) {
   const SchedulerCounters& c = stats.scheduler;
   EXPECT_GT(c.pushes, 0u);
   EXPECT_EQ(c.pushes, c.local_pops + c.steals + c.discarded);
+  // Every actor is done after a drain, and a done actor is never notified:
+  // no hint is left queued.  Every claimed hint ran exactly one slice.
+  EXPECT_EQ(c.discarded, 0u);
+  EXPECT_EQ(c.local_pops + c.steals, c.slices);
   // The default mailbox is the lock-free ring: the traffic volume that fed
   // the ready hints must show up in the ring ledger, and the ledger above
   // must keep balancing with the ring in the loop.  Hints are
@@ -188,6 +285,12 @@ TEST(StressTsan, RandomTopologySubsetStaysRaceFree) {
   for (std::uint64_t seed = 300; seed < 306; ++seed) {
     drain_and_check(seed, kWorkerCycle[seed % 3], /*items=*/600, /*mailbox_capacity=*/8);
   }
+}
+
+TEST(StressTsan, FaninReadinessSubsetFinishesOnTime) {
+  // ThreadSanitizer target: the readiness state word's notify, claim and
+  // release against producers' edges, with surplus parks and compensation.
+  fanin_drains(/*drains=*/9, /*items=*/300, /*mailbox_capacity=*/2);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "core/error.hpp"
@@ -275,6 +276,93 @@ TEST(PooledScheduler, MatchesThreadPerActorThroughputOnTable1) {
   EXPECT_NEAR(pool_stats.source_rate, threads_stats.source_rate,
               0.05 * threads_stats.source_rate);
   EXPECT_EQ(pool_stats.dropped, 0u);
+}
+
+/// A burst source that parks in a BlockingSection every `every` items of
+/// its first `blocking_items`, the way a paced or windowed generator does.
+class BlockingBurstSource final : public SourceLogic {
+ public:
+  BlockingBurstSource(std::int64_t count, std::int64_t blocking_items, std::int64_t every)
+      : count_(count), blocking_items_(blocking_items), every_(every) {}
+  bool next(Tuple& out) override {
+    if (next_id_ >= count_) return false;
+    if (next_id_ < blocking_items_ && next_id_ % every_ == 0) {
+      const BlockingSection parked;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    out = Tuple{};
+    out.id = next_id_++;
+    out.key = out.id;
+    return true;
+  }
+
+ private:
+  std::int64_t count_;
+  std::int64_t blocking_items_;
+  std::int64_t every_;
+  std::int64_t next_id_ = 0;
+};
+
+/// Busy-spins per item and records how many instances spin at once.  It
+/// never blocks, so every spinning instance holds a runnable worker.
+class ConcurrencyProbe final : public OperatorLogic {
+ public:
+  ConcurrencyProbe(std::atomic<int>* inside, std::atomic<int>* peak)
+      : inside_(inside), peak_(peak) {}
+  void process(const Tuple& item, OpIndex, Collector& out) override {
+    const int now = inside_->fetch_add(1) + 1;
+    int seen = peak_->load();
+    while (seen < now && !peak_->compare_exchange_weak(seen, now)) {
+    }
+    const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(20);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    inside_->fetch_sub(1);
+    out.emit(item);  // after the count: a send is never inside the spin
+  }
+  std::unique_ptr<OperatorLogic> clone() const override {
+    return std::make_unique<ConcurrencyProbe>(inside_, peak_);
+  }
+
+ private:
+  std::atomic<int>* inside_;
+  std::atomic<int>* peak_;
+};
+
+TEST(PooledScheduler, CompensationWorkersStandDownSoAtMostKRun) {
+  // A K = 2 pool whose source keeps entering a BlockingSection: each entry
+  // may bring a compensation worker in while four never-blocking leaves
+  // have work.  Once the source is back, the extra worker must park again,
+  // so no more than K leaves ever spin at once — including the drain of the
+  // backlog the source leaves when it stops blocking and finishes.
+  constexpr int kWorkers = 2;
+  static constexpr std::int64_t kItems = 3000;
+  Topology::Builder b;
+  b.add_operator("src", 1e-6);
+  for (int i = 0; i < 4; ++i) {
+    b.add_operator("leaf" + std::to_string(i), 1e-6);
+    b.add_edge(0, static_cast<OpIndex>(i + 1), 0.25);
+  }
+  const Topology t = b.build();
+  std::atomic<int> inside{0};
+  std::atomic<int> peak{0};
+  AppFactory factory;
+  factory.source = [](OpIndex, const OperatorSpec&) {
+    return std::make_unique<BlockingBurstSource>(kItems, /*blocking_items=*/400, /*every=*/8);
+  };
+  factory.logic = [&](OpIndex, const OperatorSpec&) {
+    return std::make_unique<ConcurrencyProbe>(&inside, &peak);
+  };
+  EngineConfig cfg = pooled_config(kWorkers);
+  cfg.mailbox_capacity = 2 * kItems;  // ample: no send ever blocks
+  Engine engine(t, Deployment{}, factory, cfg);
+  const RunStats stats = engine.run_until_complete(duration<double>(60.0));
+  std::uint64_t processed = 0;
+  for (OpIndex i = 1; i <= 4; ++i) processed += stats.ops[i].processed;
+  EXPECT_EQ(processed, static_cast<std::uint64_t>(kItems));
+  EXPECT_EQ(stats.dropped, 0u);
+  EXPECT_GE(peak.load(), 1);
+  EXPECT_LE(peak.load(), kWorkers) << "more operators ran at once than the pool has workers";
 }
 
 std::int64_t steady_ns() {

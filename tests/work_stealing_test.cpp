@@ -1,21 +1,17 @@
 // Unit tests for the per-worker deques behind the pooled scheduler: LIFO
-// local pop vs FIFO steal order, hint routing to the preferred queue, no
-// lost or duplicated items under concurrent enqueue + steal, and the park
-// protocol (a worker blocked after a steal miss wakes on any push; shutdown
-// unblocks everyone).
+// local pop vs FIFO steal order, hint routing to the preferred queue, and
+// no lost or duplicated items under concurrent enqueue + steal.  Parking
+// lives in the scheduler host (tests/scheduler_test.cpp).
 #include "runtime/work_stealing.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <thread>
 #include <vector>
 
 namespace ss::runtime {
 namespace {
-
-using namespace std::chrono_literals;
 
 TEST(WorkStealing, LocalPopIsLifo) {
   WorkStealingQueues queues(2);
@@ -116,50 +112,6 @@ TEST(WorkStealing, NoItemLostOrDuplicatedUnderConcurrentEnqueueAndSteal) {
     EXPECT_EQ(seen[i].load(), 1) << "item " << i;
   }
   EXPECT_EQ(queues.pending(), 0u);
-}
-
-TEST(WorkStealing, ParkedWorkerWakesToStealFromAnotherQueue) {
-  // A worker that found every queue empty parks in acquire(); a push hinted
-  // at a *different* worker's queue must still wake it (steal on wake) —
-  // the lost-wakeup scenario the idle/pending protocol exists to prevent.
-  WorkStealingQueues queues(2);
-  std::atomic<bool> got{false};
-  std::size_t item = 0;
-  std::thread worker([&] {
-    if (queues.acquire(0, item)) got.store(true);
-  });
-  // Wait until the worker has actually parked before pushing.
-  for (int i = 0; i < 1000 && queues.idle() == 0; ++i) std::this_thread::sleep_for(1ms);
-  EXPECT_EQ(queues.idle(), 1u);
-  queues.push(99, 1);  // other worker's queue
-  worker.join();
-  EXPECT_TRUE(got.load());
-  EXPECT_EQ(item, 99u);
-}
-
-TEST(WorkStealing, ShutdownUnblocksEveryParkedWorker) {
-  WorkStealingQueues queues(3);
-  std::atomic<int> returned{0};
-  std::vector<std::thread> workers;
-  for (std::size_t w = 0; w < 3; ++w) {
-    workers.emplace_back([&, w] {
-      std::size_t item = 0;
-      EXPECT_FALSE(queues.acquire(w, item));  // false only on shutdown
-      returned.fetch_add(1);
-    });
-  }
-  for (int i = 0; i < 1000 && queues.idle() < 3; ++i) std::this_thread::sleep_for(1ms);
-  queues.shutdown();
-  for (std::thread& t : workers) t.join();
-  EXPECT_EQ(returned.load(), 3);
-}
-
-TEST(WorkStealing, AcquireReturnsFalseImmediatelyAfterShutdown) {
-  WorkStealingQueues queues(1);
-  queues.push(5, 0);
-  queues.shutdown();
-  std::size_t item = 0;
-  EXPECT_FALSE(queues.acquire(0, item));  // remaining items are stale
 }
 
 }  // namespace
